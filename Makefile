@@ -4,11 +4,15 @@
 #   make tier2        tier1 plus static analysis and a race-detector sweep
 #   make lint         go vet + gofmt + the repo's own analyzers (cmd/gpureachvet,
 #                     with -stale-allows so waivers that suppress nothing fail too)
-#   make bench        core engine benchmarks: internal/sim microbenches, the
-#                     single-run benchmark, and an appended BENCH_core.json entry
+#   make bench        core engine benchmarks: internal/sim microbenches and the
+#                     single-run benchmark (repeated-trial perf measurements
+#                     with host fingerprints: bash perfbench/run.sh)
 #   make bench-smoke  one-iteration pass over every benchmark (CI keeps them
 #                     compiling and running; no stable numbers expected)
 #   make bench-paper  regenerate the paper's figures/tables (slow; see bench_test.go)
+#   make exp-smoke    every paper experiment at scale 0.05 on MVT,SRAD through
+#                     `gpureach exp`, asserting stdout is byte-identical at
+#                     GOMAXPROCS=1 vs 2 and to the committed golden
 #   make sweep-smoke  fast end-to-end campaigns on the parallel sweep engine,
 #                     with a byte-identity check across independent campaign dirs
 #   make chaos-smoke  fast adversarial campaign: a two-tenant co-run under a
@@ -23,8 +27,6 @@
 #   make shard-smoke  process-sharded campaign: the same sweep through a
 #                     2-worker `gpureach worker` subprocess fleet and through
 #                     the in-process pool, asserting byte-identical aggregates
-#   make bench-scale  footprint-scaling trajectory: GUPS ic+lds at scale
-#                     0.05/0.25/1.0, appended to BENCH_core.json with labels
 #   make coverage     statement-coverage gate: internal/sample and
 #                     internal/stats must each cover >= 85%
 
@@ -32,7 +34,7 @@ GO ?= go
 
 .DEFAULT_GOAL := tier1
 
-.PHONY: tier1 tier2 lint bench bench-smoke bench-paper bench-scale sweep-smoke chaos-smoke sample-smoke serve-smoke shard-smoke coverage
+.PHONY: tier1 tier2 lint bench bench-smoke bench-paper exp-smoke sweep-smoke chaos-smoke sample-smoke serve-smoke shard-smoke coverage
 
 tier1:
 	$(GO) build ./...
@@ -51,16 +53,23 @@ lint:
 bench:
 	$(GO) test -bench=. -benchmem -run NONE ./internal/sim/
 	$(GO) test -bench BenchmarkSingleRun -benchmem -run NONE .
-	$(GO) run ./cmd/benchcore -out BENCH_core.json
 
 bench-smoke:
 	$(GO) test -bench=. -benchtime 1x -benchmem -run NONE ./internal/sim/
 	$(GO) test -bench BenchmarkSingleRun -benchtime 1x -benchmem -run NONE .
-	$(GO) run ./cmd/benchcore -n 1 -out .bench-smoke.json
-	rm -f .bench-smoke.json
 
 bench-paper:
 	$(GO) test -bench=. -benchmem
+
+exp-smoke:
+	rm -rf .exp-smoke
+	mkdir -p .exp-smoke
+	$(GO) build -o .exp-smoke/gpureach ./cmd/gpureach
+	GOMAXPROCS=1 ./.exp-smoke/gpureach exp -exp all -scale 0.05 -apps MVT,SRAD > .exp-smoke/p1.txt
+	GOMAXPROCS=2 ./.exp-smoke/gpureach exp -exp all -scale 0.05 -apps MVT,SRAD > .exp-smoke/p2.txt
+	cmp .exp-smoke/p1.txt .exp-smoke/p2.txt
+	cmp .exp-smoke/p1.txt internal/core/testdata/exp_all.golden
+	@echo "exp-smoke: experiment tables byte-identical at GOMAXPROCS 1 vs 2 and to the golden"
 
 sweep-smoke:
 	rm -rf .sweep-smoke
@@ -120,11 +129,6 @@ shard-smoke:
 	cmp .shard-smoke/fleet/aggregate.json .shard-smoke/inproc/aggregate.json
 	cmp .shard-smoke/fleet/aggregate.csv .shard-smoke/inproc/aggregate.csv
 	@echo "shard-smoke: 2-worker subprocess fleet byte-identical to the in-process pool"
-
-bench-scale:
-	$(GO) run ./cmd/benchcore -app GUPS -scheme ic+lds -scale 0.05 -label "GUPS/ic+lds scale=0.05" -out BENCH_core.json
-	$(GO) run ./cmd/benchcore -app GUPS -scheme ic+lds -scale 0.25 -label "GUPS/ic+lds scale=0.25" -out BENCH_core.json
-	$(GO) run ./cmd/benchcore -app GUPS -scheme ic+lds -scale 1.0 -label "GUPS/ic+lds scale=1.0" -out BENCH_core.json
 
 coverage:
 	$(GO) test -coverprofile=.coverage.out ./internal/sample/ ./internal/stats/

@@ -1,18 +1,19 @@
 // Package gpureach_test is the benchmark harness that regenerates every
 // table and figure of the paper's evaluation (see DESIGN.md §3 for the
-// experiment index). Each benchmark runs the corresponding experiment
-// end-to-end and prints the same rows/series the paper reports; custom
-// metrics expose the headline numbers (geomean speedups, walk
-// reductions) so regressions are visible in benchstat output.
+// experiment index). BenchmarkPaper runs every experiment end-to-end
+// and prints the same rows/series the paper reports; custom metrics
+// expose the headline numbers (geomean speedups, walk reductions) so
+// regressions are visible in benchstat output.
 //
 // Run everything:
 //
 //	go test -bench=. -benchmem
 //
-// The full suite simulates hundreds of application runs; set
-// GPUREACH_BENCH_SCALE (e.g. 0.25) to shrink footprints for a quick
-// pass. Results at reduced scale keep the qualitative shape but the
-// reach-limited applications saturate earlier.
+// BenchmarkPaper simulates hundreds of application runs on the sweep
+// engine (GOMAXPROCS workers); set GPUREACH_BENCH_SCALE (e.g. 0.25) to
+// shrink footprints for a quick pass. Results at reduced scale keep
+// the qualitative shape but the reach-limited applications saturate
+// earlier.
 package gpureach_test
 
 import (
@@ -22,59 +23,29 @@ import (
 	"strconv"
 	"testing"
 
-	"gpureach/internal/core"
 	"gpureach/internal/metrics"
 	"gpureach/internal/sweep"
 )
 
 // benchOpts returns the experiment options for benchmarks, honouring
 // GPUREACH_BENCH_SCALE.
-func benchOpts() core.ExpOptions {
+func benchOpts() sweep.ExpOptions {
 	scale := 1.0
 	if s := os.Getenv("GPUREACH_BENCH_SCALE"); s != "" {
 		if v, err := strconv.ParseFloat(s, 64); err == nil && v > 0 {
 			scale = v
 		}
 	}
-	return core.ExpOptions{Scale: scale}
+	return sweep.ExpOptions{Scale: scale}
 }
 
-// expMemo caches single-iteration experiment results within one bench
-// binary invocation: Figures 2 and 3 (and their benchmarks) come from
-// the same L2-TLB sweep, so the second benchmark reuses the first's
-// tables instead of re-simulating ~80 application runs.
-var expMemo = map[string][]*metrics.Table{}
-
-// runExperiment executes experiment id once per benchmark iteration,
-// printing its tables.
-func runExperiment(b *testing.B, id string) []*metrics.Table {
-	b.Helper()
-	e, ok := core.ExperimentByID(id)
-	if !ok {
-		b.Fatalf("unknown experiment %q", id)
-	}
-	var tables []*metrics.Table
-	if cached, hit := expMemo[id]; hit && b.N == 1 {
-		tables = cached
-	} else {
-		for i := 0; i < b.N; i++ {
-			tables = e.Run(benchOpts())
-		}
-		expMemo[id] = tables
-	}
-	for _, t := range tables {
-		fmt.Print(t.String())
-	}
-	return tables
-}
-
-// geomeanFromLastRow extracts a float cell from a table's final summary
-// row (column col, 0 = the row label).
-func lastRowCell(t *metrics.Table, col int) float64 {
-	if len(t.Rows) == 0 {
+// cell parses a float cell of a table row (col 0 = the row label);
+// rows counts from the end, 1 being the last row.
+func cell(t *metrics.Table, fromEnd, col int) float64 {
+	if len(t.Rows) < fromEnd {
 		return 0
 	}
-	row := t.Rows[len(t.Rows)-1]
+	row := t.Rows[len(t.Rows)-fromEnd]
 	if col >= len(row) {
 		return 0
 	}
@@ -82,117 +53,56 @@ func lastRowCell(t *metrics.Table, col int) float64 {
 	return v
 }
 
-// Benchmarks are ordered so the headline artifacts (Figure 13 family,
-// Figure 14/15, ablations) complete first and the long L2-TLB sweep
-// (Figures 2+3) runs last; the shared run cache means later benchmarks
-// reuse earlier simulations.
-
-func BenchmarkFig13bLDSAndCombined(b *testing.B) {
-	tables := runExperiment(b, "F13b")
-	// Second-to-last row is the all-apps geomean (last is H+M only).
-	t := tables[0]
-	if len(t.Rows) >= 2 {
-		row := t.Rows[len(t.Rows)-2]
-		if v, err := strconv.ParseFloat(row[len(row)-1], 64); err == nil {
-			b.ReportMetric(v, "geospeedup/ic+lds")
+// BenchmarkPaper regenerates every table and figure of the evaluation
+// through one harness call per iteration, so runs shared between
+// figures (every per-app baseline, the Figure 13/14/15 scheme runs)
+// are simulated once. It prints the tables and reports each figure's
+// headline number as a custom metric named <experiment>.<metric>.
+func BenchmarkPaper(b *testing.B) {
+	var tables map[string][]*metrics.Table
+	for i := 0; i < b.N; i++ {
+		tables = map[string][]*metrics.Table{}
+		err := sweep.RunExperiments(sweep.Experiments(), benchOpts(), sweep.EngineOptions{},
+			func(e sweep.Experiment, ts []*metrics.Table) { tables[e.ID] = ts })
+		if err != nil {
+			b.Fatal(err)
 		}
 	}
-}
-
-func BenchmarkFig13aICacheDesigns(b *testing.B) {
-	tables := runExperiment(b, "F13a")
-	b.ReportMetric(lastRowCell(tables[0], 4), "geospeedup/aware+flush")
-}
-
-func BenchmarkFig13cDRAMEnergy(b *testing.B) {
-	tables := runExperiment(b, "F13c")
-	b.ReportMetric(lastRowCell(tables[0], 3), "normenergy/ic+lds")
-}
-
-func BenchmarkFig14aTxSharing(b *testing.B) {
-	runExperiment(b, "F14a")
-}
-
-func BenchmarkFig14bNormPageWalks(b *testing.B) {
-	tables := runExperiment(b, "F14b")
-	b.ReportMetric(lastRowCell(tables[0], 3), "normwalks/ic+lds")
-}
-
-func BenchmarkFig15EntriesGained(b *testing.B) {
-	runExperiment(b, "F15")
-}
-
-func BenchmarkLDSSegmentSize(b *testing.B) {
-	tables := runExperiment(b, "S631")
-	b.ReportMetric(lastRowCell(tables[0], 1), "geospeedup/32B")
-	b.ReportMetric(lastRowCell(tables[0], 2), "geospeedup/64B")
-}
-
-func BenchmarkAblationPrefetchBuffer(b *testing.B) {
-	tables := runExperiment(b, "ABLPF")
-	b.ReportMetric(lastRowCell(tables[0], 1), "geospeedup/victim")
-	b.ReportMetric(lastRowCell(tables[0], 2), "geospeedup/prefetch")
-}
-
-func BenchmarkTable2Characterization(b *testing.B) {
-	runExperiment(b, "T2")
-}
-
-func BenchmarkFig4LDSUtilization(b *testing.B) {
-	runExperiment(b, "F4")
-}
-
-func BenchmarkFig5ICacheUtilization(b *testing.B) {
-	runExperiment(b, "F5")
-}
-
-func BenchmarkFig11ICachePerKernel(b *testing.B) {
-	runExperiment(b, "F11")
-}
-
-func BenchmarkS72MultiApp(b *testing.B) {
-	runExperiment(b, "S72")
-}
-
-func BenchmarkFig16cDUCATI(b *testing.B) {
-	tables := runExperiment(b, "F16c")
-	b.ReportMetric(lastRowCell(tables[0], 3), "geospeedup/ic+lds+ducati")
-}
-
-func BenchmarkFig14cPageSize(b *testing.B) {
-	tables := runExperiment(b, "F14c")
-	b.ReportMetric(lastRowCell(tables[0], 1), "geospeedup/4K")
-	b.ReportMetric(lastRowCell(tables[0], 3), "geospeedup/2M")
-}
-
-func BenchmarkFig16aICacheSharers(b *testing.B) {
-	tables := runExperiment(b, "F16a")
-	b.ReportMetric(lastRowCell(tables[0], 1), "geospeedup/1CU")
-	b.ReportMetric(lastRowCell(tables[0], 4), "geospeedup/8CU")
-}
-
-func BenchmarkFig16bWireLatency(b *testing.B) {
-	tables := runExperiment(b, "F16b")
-	// Last row is IC_LDS; last column the +100cy geomean.
-	b.ReportMetric(lastRowCell(tables[0], 3), "geospeedup/+100cy")
-}
-
-func BenchmarkFig2PageWalksVsL2TLB(b *testing.B) {
-	tables := runExperiment(b, "F2F3")
-	// tables[0] is Fig 2: report the largest-TLB normalized walk count
-	// averaged over apps via the last data column of each row.
+	for _, e := range sweep.Experiments() {
+		for _, t := range tables[e.ID] {
+			fmt.Print(t.String())
+		}
+	}
+	report := func(id string, table, fromEnd, col int, unit string) {
+		b.ReportMetric(cell(tables[id][table], fromEnd, col), id+"."+unit)
+	}
+	// F13b: the second-to-last row is the all-apps geomean (the last is
+	// High+Medium only).
+	report("F13b", 0, 2, 3, "geospeedup/ic+lds")
+	report("F13a", 0, 1, 4, "geospeedup/aware+flush")
+	report("F13c", 0, 1, 3, "normenergy/ic+lds")
+	report("F14b", 0, 1, 3, "normwalks/ic+lds")
+	report("S631", 0, 1, 1, "geospeedup/32B")
+	report("S631", 0, 1, 2, "geospeedup/64B")
+	report("ABLPF", 0, 1, 1, "geospeedup/victim")
+	report("ABLPF", 0, 1, 2, "geospeedup/prefetch")
+	report("F16c", 0, 1, 3, "geospeedup/ic+lds+ducati")
+	report("F14c", 0, 1, 1, "geospeedup/4K")
+	report("F14c", 0, 1, 3, "geospeedup/2M")
+	report("F16a", 0, 1, 1, "geospeedup/1CU")
+	report("F16a", 0, 1, 4, "geospeedup/8CU")
+	// F16b: the last row is IC_LDS, the last column +100cy.
+	report("F16b", 0, 1, 3, "geospeedup/+100cy")
+	fig3 := tables["F2F3"][1]
+	report("F2F3", 1, 1, len(fig3.Headers)-1, "geospeedup/2M")
+	// Figure 2: the 2M-entry normalized walks, averaged over apps.
 	var norm []float64
-	for _, row := range tables[0].Rows {
+	for _, row := range tables["F2F3"][0].Rows {
 		if v, err := strconv.ParseFloat(row[len(row)-2], 64); err == nil {
 			norm = append(norm, v)
 		}
 	}
-	b.ReportMetric(metrics.Mean(norm), "normwalks/2M")
-}
-
-func BenchmarkFig3PerfVsL2TLB(b *testing.B) {
-	tables := runExperiment(b, "F2F3")
-	b.ReportMetric(lastRowCell(tables[1], len(tables[1].Headers)-1), "geospeedup/2M")
+	b.ReportMetric(metrics.Mean(norm), "F2F3.normwalks/2M")
 }
 
 // BenchmarkSweepCampaign measures the parallel sweep engine end to end:

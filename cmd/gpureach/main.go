@@ -87,6 +87,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "-json only applies to -list")
 		os.Exit(2)
 	}
+	if err := core.ValidateScale(*scale); err != nil {
+		fmt.Fprintf(os.Stderr, "-scale: %v\n", err)
+		os.Exit(2)
+	}
 
 	var sampleCfg sample.Config
 	if *sampleSpec != "" {

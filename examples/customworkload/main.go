@@ -11,6 +11,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"gpureach/internal/core"
 	"gpureach/internal/gpu"
@@ -66,13 +67,20 @@ func main() {
 
 	fmt.Println("pointer-chase kernel, 24MB heap, 64 independent chains per wave")
 	fmt.Println()
-	base := core.MustRun(core.DefaultConfig(core.Baseline()), pointerChase, 1.0)
+	run := func(s core.Scheme) core.Results {
+		r, err := core.Run(core.DefaultConfig(s), pointerChase, 1.0)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return r
+	}
+	base := run(core.Baseline())
 	fmt.Printf("baseline: %d cycles, %d page walks (PKI %.1f)\n",
 		base.Cycles, base.PageWalks, base.PTWPKI)
 
 	for _, mk := range []func() core.Scheme{core.LDSOnly, core.ICAwareFlush, core.Combined} {
 		s := mk()
-		r := core.MustRun(core.DefaultConfig(s), pointerChase, 1.0)
+		r := run(s)
 		fmt.Printf("%-15s %.3fx speedup, walks %d → %d, victim hits LDS=%d IC=%d\n",
 			s.Name+":", r.Speedup(base), base.PageWalks, r.PageWalks, r.LDSTxHits, r.ICTxHits)
 	}

@@ -9,30 +9,36 @@ package main
 
 import (
 	"fmt"
+	"log"
 
-	"gpureach/internal/core"
-	"gpureach/internal/workloads"
+	"gpureach/internal/sweep"
 )
 
 func main() {
-	mvt, _ := workloads.ByName("MVT")
-	srad, _ := workloads.ByName("SRAD")
-	pair := []workloads.Workload{mvt, srad}
 	const scale = 0.5
-
-	basePer, baseAll := core.MustRunMultiApp(core.DefaultConfig(core.Baseline()), pair, scale)
-	combPer, combAll := core.MustRunMultiApp(core.DefaultConfig(core.Combined()), pair, scale)
+	coRun := func(scheme string) sweep.RunResult {
+		rr, err := sweep.ExecuteRun(sweep.Run{
+			App: "MVT+SRAD", Tenants: "MVT+SRAD", Scheme: scheme,
+			Scale: scale, L2TLB: 512, PageSize: "4K",
+		})
+		if err != nil {
+			log.Fatal(err)
+		}
+		return rr
+	}
+	base, comb := coRun("baseline"), coRun("ic+lds")
+	basePer, combPer := base.PerApp, comb.PerApp
 
 	fmt.Println("MVT (High PTW) + SRAD (Low PTW), 4 CUs each, separate VM-IDs")
 	fmt.Println()
 	fmt.Printf("%-8s %16s %16s %10s\n", "app", "baseline-finish", "ic+lds-finish", "speedup")
-	for i := range pair {
+	for i := range basePer {
 		sp := float64(basePer[i].FinishedAt) / float64(combPer[i].FinishedAt)
 		fmt.Printf("%-8s %16d %16d %9.3fx\n",
 			basePer[i].App, basePer[i].FinishedAt, combPer[i].FinishedAt, sp)
 	}
 	fmt.Println()
-	fmt.Printf("system page walks: %d → %d\n", baseAll.PageWalks, combAll.PageWalks)
+	fmt.Printf("system page walks: %d → %d\n", base.Results.PageWalks, comb.Results.PageWalks)
 	fmt.Println()
 	fmt.Println("each tenant's translations stay in its own CUs' L1 TLBs and LDS")
 	fmt.Println("segments; only the I-cache is shared across the partition (§7.2)")

@@ -7,6 +7,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"gpureach/internal/core"
 	"gpureach/internal/vm"
@@ -16,18 +17,22 @@ import (
 func main() {
 	w, _ := workloads.ByName("BICG")
 	const scale = 0.5
+	run := func(s core.Scheme, ps vm.PageSize) core.Results {
+		cfg := core.DefaultConfig(s)
+		cfg.PageSize = ps
+		r, err := core.Run(cfg, w, scale)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return r
+	}
 
 	fmt.Println("BICG: baseline vs IC+LDS across page granularities (§6.2)")
 	fmt.Println()
 	fmt.Printf("%-8s %12s %12s %10s %12s\n", "pages", "base-walks", "ic+lds-walks", "speedup", "base-cycles")
 	for _, ps := range []vm.PageSize{vm.Page4K, vm.Page64K, vm.Page2M} {
-		baseCfg := core.DefaultConfig(core.Baseline())
-		baseCfg.PageSize = ps
-		base := core.MustRun(baseCfg, w, scale)
-
-		cfg := core.DefaultConfig(core.Combined())
-		cfg.PageSize = ps
-		r := core.MustRun(cfg, w, scale)
+		base := run(core.Baseline(), ps)
+		r := run(core.Combined(), ps)
 
 		fmt.Printf("%-8s %12d %12d %9.3fx %12d\n",
 			name(ps), base.PageWalks, r.PageWalks, r.Speedup(base), base.Cycles)

@@ -7,6 +7,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"gpureach/internal/core"
 	"gpureach/internal/workloads"
@@ -24,8 +25,15 @@ func main() {
 	// for the full experiment footprint.
 	const scale = 0.5
 
-	baseline := core.MustRun(core.DefaultConfig(core.Baseline()), atax, scale)
-	combined := core.MustRun(core.DefaultConfig(core.Combined()), atax, scale)
+	run := func(s core.Scheme) core.Results {
+		r, err := core.Run(core.DefaultConfig(s), atax, scale)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return r
+	}
+	baseline := run(core.Baseline())
+	combined := run(core.Combined())
 
 	fmt.Println("ATAX on the Table 1 GPU (8 CUs, 32-entry L1 TLBs, 512-entry L2 TLB)")
 	fmt.Println()

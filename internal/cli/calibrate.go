@@ -7,8 +7,8 @@ import (
 	"strings"
 	"time"
 
-	"gpureach/internal/core"
 	"gpureach/internal/sample"
+	"gpureach/internal/sweep"
 )
 
 // defaultCalibrationPairs is the stock cross-validation matrix: two
@@ -74,7 +74,7 @@ func RunCalibrateSampling(args []string, stdout, stderr io.Writer) int {
 	}
 
 	start := time.Now()
-	rep, err := sample.Validate(pairs, core.CalibrationRunner(*scale, sc))
+	rep, err := sample.Validate(pairs, sweep.CalibrationRunner(*scale, sc))
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2

@@ -16,14 +16,18 @@ import (
 	"strings"
 	"time"
 
-	"gpureach/internal/core"
+	"gpureach/internal/metrics"
 	"gpureach/internal/sample"
+	"gpureach/internal/sweep"
 )
 
 // RunExp runs the experiment subcommand (`gpureach exp ...`): it
-// regenerates the paper's tables and figures by artifact ID. It
-// returns a process exit code; tables go to stdout, diagnostics and
-// timing to stderr.
+// regenerates the paper's tables and figures by artifact ID. The
+// selected experiments run concurrently on one sweep engine (GOMAXPROCS
+// workers); their tables print in selection order and are identical at
+// any worker count. It returns a process exit code: 0 on success, 1
+// when a simulation failed (stderr names the run), 2 on usage errors.
+// Tables go to stdout, diagnostics and timing to stderr.
 //
 // Examples:
 //
@@ -33,6 +37,12 @@ import (
 //	gpureach exp -exp all -scale 0.25      # everything, fast and small
 //	gpureach exp calibrate-sampling        # sampled-vs-full cross-validation
 func RunExp(args []string, stdout, stderr io.Writer) int {
+	return runExp(args, stdout, stderr, sweep.EngineOptions{})
+}
+
+// runExp is RunExp on an engine configured by eng (tests inject a
+// failing RunFn here).
+func runExp(args []string, stdout, stderr io.Writer, eng sweep.EngineOptions) int {
 	if len(args) > 0 && args[0] == "calibrate-sampling" {
 		return RunCalibrateSampling(args[1:], stdout, stderr)
 	}
@@ -55,7 +65,7 @@ func RunExp(args []string, stdout, stderr io.Writer) int {
 
 	if *list || *exp == "" {
 		fmt.Fprintln(stdout, "experiments:")
-		for _, e := range core.Experiments() {
+		for _, e := range sweep.Experiments() {
 			fmt.Fprintf(stdout, "  %-5s %s\n", e.ID, e.Title)
 		}
 		if *exp == "" && !*list {
@@ -64,7 +74,7 @@ func RunExp(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	opts := core.ExpOptions{Scale: *scale}
+	opts := sweep.ExpOptions{Scale: *scale}
 	if *apps != "" {
 		opts.Apps = strings.Split(*apps, ",")
 	}
@@ -81,12 +91,12 @@ func RunExp(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	var selected []core.Experiment
+	var selected []sweep.Experiment
 	if *exp == "all" {
-		selected = core.Experiments()
+		selected = sweep.Experiments()
 	} else {
 		for _, id := range strings.Split(*exp, ",") {
-			e, ok := core.ExperimentByID(id)
+			e, ok := sweep.ExperimentByID(id)
 			if !ok {
 				fmt.Fprintf(stderr, "unknown experiment %q (try -list)\n", id)
 				return 2
@@ -95,16 +105,19 @@ func RunExp(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	for _, e := range selected {
-		start := time.Now()
-		tables := e.Run(opts)
+	start := time.Now()
+	err := sweep.RunExperiments(selected, opts, eng, func(e sweep.Experiment, tables []*metrics.Table) {
 		for _, t := range tables {
 			t.Render(stdout)
 		}
 		// Elapsed time is wall-clock-dependent, so it goes to stderr:
 		// stdout must be identical from run to run (the same contract
 		// the sweep engine keeps for its artifacts).
-		fmt.Fprintf(stderr, "[%s completed in %s]\n", e.ID, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(stderr, "[%s done at %s]\n", e.ID, time.Since(start).Round(time.Millisecond))
+	})
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 	return 0
 }

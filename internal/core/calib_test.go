@@ -26,10 +26,7 @@ func TestCalibrationReport(t *testing.T) {
 	t.Logf("calibration mode: %s", mode)
 	for _, w := range workloads.All() {
 		start := time.Now()
-		r, est, err := RunSampled(DefaultConfig(Baseline()), w, 1.0, sc)
-		if err != nil {
-			t.Fatalf("%s: %v", w.Name, err)
-		}
+		r, est := runSampled(t, DefaultConfig(Baseline()), w, 1.0, sc)
 		elapsed := float64(time.Since(start).Microseconds()) / 1000
 		if est != nil {
 			t.Logf("%-5s cat=%s %8.1fms  %v  (cycles ±%.0f over %d windows)",

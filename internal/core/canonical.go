@@ -2,11 +2,13 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"sort"
 	"strings"
 
 	"gpureach/internal/vm"
+	"gpureach/internal/workloads"
 )
 
 // Canonical returns a stable, human-readable serialization of the
@@ -103,4 +105,48 @@ func PageSizeName(ps vm.PageSize) string {
 		return "2M"
 	}
 	return fmt.Sprintf("%dB", uint64(ps))
+}
+
+// ResolveApps maps application names to workloads. Unknown names do
+// not panic: they are reported in one error that lists the valid names,
+// so CLIs can surface it as a clean message. The returned slice holds
+// the workloads that did resolve (all ten for an empty name list).
+func ResolveApps(names []string) ([]workloads.Workload, error) {
+	if len(names) == 0 {
+		return workloads.All(), nil
+	}
+	var out []workloads.Workload
+	var unknown []string
+	for _, name := range names {
+		w, ok := workloads.ByName(name)
+		if !ok {
+			unknown = append(unknown, name)
+			continue
+		}
+		out = append(out, w)
+	}
+	if len(unknown) > 0 {
+		var valid []string
+		for _, w := range workloads.All() {
+			valid = append(valid, w.Name)
+		}
+		return out, fmt.Errorf("unknown workload(s) %s (valid: %s)",
+			strings.Join(unknown, ", "), strings.Join(valid, ", "))
+	}
+	return out, nil
+}
+
+// ValidateScale rejects footprint scale factors no workload can be
+// built at: NaN, ±Inf and negative values. Zero passes: sweep specs
+// and experiment options read it as unset (1.0).
+func ValidateScale(s float64) error {
+	switch {
+	case math.IsNaN(s):
+		return fmt.Errorf("scale is NaN; it must be a finite, non-negative factor")
+	case math.IsInf(s, 0):
+		return fmt.Errorf("scale %g is infinite; it must be a finite, non-negative factor", s)
+	case s < 0:
+		return fmt.Errorf("negative scale %g; it must be a finite, non-negative factor", s)
+	}
+	return nil
 }

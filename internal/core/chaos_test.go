@@ -35,7 +35,10 @@ func TestShootdownUnderLoad(t *testing.T) {
 	cfg := core.DefaultConfig(core.CombinedDucati())
 	const scale = 0.05
 
-	clean := core.MustRun(cfg, w, scale)
+	clean, err := core.Run(cfg, w, scale)
+	if err != nil {
+		t.Fatalf("fault-free run failed: %v", err)
+	}
 
 	s := core.NewSystem(cfg)
 	s.Checker = check.NewChecker()

@@ -111,7 +111,7 @@ type Config struct {
 	WireLatencyLDS sim.Time
 
 	// Watchdog bounds every engine run (sim.RunGuarded). Scalar fields
-	// only: Config doubles as a memoization map key in experiments.
+	// only, so Config stays comparable and Canonical covers every knob.
 	Watchdog sim.GuardConfig
 }
 

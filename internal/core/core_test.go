@@ -1,7 +1,6 @@
 package core
 
 import (
-	"strings"
 	"testing"
 
 	"gpureach/internal/vm"
@@ -127,7 +126,7 @@ func TestPerfectL2TLBEliminatesWalks(t *testing.T) {
 	w, _ := workloads.ByName("ATAX")
 	cfg := DefaultConfig(Baseline())
 	cfg.PerfectL2TLB = true
-	r := MustRun(cfg, w, smokeScale)
+	r := mustRun(t, cfg, w, smokeScale)
 	if r.PageWalks != 0 {
 		t.Errorf("perfect L2 TLB still walked %d times", r.PageWalks)
 	}
@@ -138,10 +137,10 @@ func TestPerfectL2TLBEliminatesWalks(t *testing.T) {
 
 func TestLargerL2TLBNeverSlower(t *testing.T) {
 	w, _ := workloads.ByName("GUPS")
-	base := MustRun(DefaultConfig(Baseline()), w, smokeScale)
+	base := mustRun(t, DefaultConfig(Baseline()), w, smokeScale)
 	cfg := DefaultConfig(Baseline())
 	cfg.L2TLBEntries = 65536
-	big := MustRun(cfg, w, smokeScale)
+	big := mustRun(t, cfg, w, smokeScale)
 	if big.PageWalks > base.PageWalks {
 		t.Errorf("larger L2 TLB increased walks: %d -> %d", base.PageWalks, big.PageWalks)
 	}
@@ -153,10 +152,10 @@ func TestLargerL2TLBNeverSlower(t *testing.T) {
 func TestPageSizeReducesWalks(t *testing.T) {
 	w, _ := workloads.ByName("ATAX")
 	c4 := DefaultConfig(Baseline())
-	r4 := MustRun(c4, w, smokeScale)
+	r4 := mustRun(t, c4, w, smokeScale)
 	c2m := DefaultConfig(Baseline())
 	c2m.PageSize = vm.Page2M
-	r2m := MustRun(c2m, w, smokeScale)
+	r2m := mustRun(t, c2m, w, smokeScale)
 	if r2m.PageWalks >= r4.PageWalks {
 		t.Errorf("2MB pages did not reduce walks: %d vs %d", r2m.PageWalks, r4.PageWalks)
 	}
@@ -164,8 +163,8 @@ func TestPageSizeReducesWalks(t *testing.T) {
 
 func TestDeterministicRuns(t *testing.T) {
 	w, _ := workloads.ByName("BFS")
-	a := MustRun(DefaultConfig(Combined()), w, smokeScale)
-	b := MustRun(DefaultConfig(Combined()), w, smokeScale)
+	a := mustRun(t, DefaultConfig(Combined()), w, smokeScale)
+	b := mustRun(t, DefaultConfig(Combined()), w, smokeScale)
 	if a.Cycles != b.Cycles || a.PageWalks != b.PageWalks || a.LDSTxHits != b.LDSTxHits {
 		t.Errorf("runs are not deterministic: %v vs %v", a, b)
 	}
@@ -173,93 +172,16 @@ func TestDeterministicRuns(t *testing.T) {
 
 func TestWireLatencyReducesButKeepsGains(t *testing.T) {
 	w, _ := workloads.ByName("ATAX")
-	base := MustRun(DefaultConfig(Baseline()), w, smokeScale)
-	fast := MustRun(DefaultConfig(Combined()), w, smokeScale)
+	base := mustRun(t, DefaultConfig(Baseline()), w, smokeScale)
+	fast := mustRun(t, DefaultConfig(Combined()), w, smokeScale)
 	slowCfg := DefaultConfig(Combined())
 	slowCfg.WireLatencyIC = 100
 	slowCfg.WireLatencyLDS = 100
-	slow := MustRun(slowCfg, w, smokeScale)
+	slow := mustRun(t, slowCfg, w, smokeScale)
 	// Allow small second-order timing noise at smoke scale; the Fig 16b
 	// experiment checks the monotone trend at full scale.
 	if slow.Speedup(base) > 1.05*fast.Speedup(base) {
 		t.Errorf("extra wire latency improved performance: %v vs %v",
 			slow.Speedup(base), fast.Speedup(base))
-	}
-}
-
-func TestExperimentRegistry(t *testing.T) {
-	ids := ExperimentIDs()
-	if len(ids) != 18 {
-		t.Errorf("%d experiments registered, want 18", len(ids))
-	}
-	for _, id := range ids {
-		if _, ok := ExperimentByID(id); !ok {
-			t.Errorf("experiment %q unresolvable", id)
-		}
-	}
-	if _, ok := ExperimentByID("nope"); ok {
-		t.Error("bogus ID resolved")
-	}
-}
-
-// TestExperimentsSmoke executes every experiment on a tiny scale and a
-// reduced app set, checking the tables are well-formed. This is the
-// integration test that every figure/table pipeline at least runs.
-func TestExperimentsSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment smoke skipped in -short")
-	}
-	opts := ExpOptions{Scale: 0.05, Apps: []string{"MVT", "SRAD"}}
-	for _, e := range Experiments() {
-		e := e
-		t.Run(e.ID, func(t *testing.T) {
-			tables := e.Run(opts)
-			if len(tables) == 0 {
-				t.Fatal("no tables produced")
-			}
-			for _, tab := range tables {
-				if len(tab.Headers) == 0 {
-					t.Error("table without headers")
-				}
-				if tab.Title == "" {
-					t.Error("table without title")
-				}
-				if e.ID != "F11" && e.ID != "S72" && len(tab.Rows) == 0 {
-					t.Errorf("table %q has no rows", tab.Title)
-				}
-				out := tab.String()
-				if !strings.Contains(out, "==") {
-					t.Error("render missing title banner")
-				}
-			}
-		})
-	}
-}
-
-func TestExpOptionsDefaults(t *testing.T) {
-	var o ExpOptions
-	if o.scale() != 1.0 {
-		t.Errorf("default scale = %v", o.scale())
-	}
-	if len(o.workloads()) != 10 {
-		t.Errorf("default workload count = %d", len(o.workloads()))
-	}
-	o.Apps = []string{"ATAX"}
-	if len(o.workloads()) != 1 || o.workloads()[0].Name != "ATAX" {
-		t.Error("app restriction failed")
-	}
-}
-
-func TestUnknownAppDoesNotPanic(t *testing.T) {
-	// Unknown names are a validation error (surfaced at the CLI
-	// boundary via ExpOptions.Validate), never a panic; the experiment
-	// body runs over the resolvable subset.
-	o := ExpOptions{Apps: []string{"NOPE", "ATAX"}}
-	if err := o.Validate(); err == nil {
-		t.Error("Validate accepted unknown app")
-	}
-	ws := o.workloads()
-	if len(ws) != 1 || ws[0].Name != "ATAX" {
-		t.Errorf("workloads() = %v, want the resolvable subset [ATAX]", ws)
 	}
 }

@@ -40,7 +40,7 @@ func TestGoldenSmallRuns(t *testing.T) {
 			if !ok {
 				t.Fatalf("unknown app %q", tc.app)
 			}
-			r := MustRun(DefaultConfig(scheme), w, smokeScale)
+			r := mustRun(t, DefaultConfig(scheme), w, smokeScale)
 			if r.Cycles != tc.cycles || r.PageWalks != tc.walks || r.L2TLBMisses != tc.l2miss {
 				t.Errorf("science drift: got cycles=%d walks=%d l2miss=%d, pinned cycles=%d walks=%d l2miss=%d",
 					r.Cycles, r.PageWalks, r.L2TLBMisses, tc.cycles, tc.walks, tc.l2miss)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"gpureach/internal/gpu"
-	"gpureach/internal/metrics"
 	"gpureach/internal/sim"
 	"gpureach/internal/vm"
 	"gpureach/internal/workloads"
@@ -102,51 +101,4 @@ func (m *MultiAppRun) Run() (per []MultiAppResult, res Results, err error) {
 		err = m.Sys.Checker.Err()
 	}
 	return per, res, err
-}
-
-// RunMultiApp runs the named workloads concurrently on one GPU and
-// returns per-application finish times plus the shared-system
-// end-to-end result. Preset-shape problems (no apps, too many tenants,
-// uneven CU partition) and structured simulation failures are returned
-// as errors.
-func RunMultiApp(cfg Config, apps []workloads.Workload, scale float64) ([]MultiAppResult, Results, error) {
-	m, err := PrepareMultiApp(cfg, apps, scale)
-	if err != nil {
-		return nil, Results{}, err
-	}
-	return m.Run()
-}
-
-// MustRunMultiApp is RunMultiApp for trusted presets — experiment
-// tables and tests where a failure is a bug worth crashing on.
-func MustRunMultiApp(cfg Config, apps []workloads.Workload, scale float64) ([]MultiAppResult, Results) {
-	per, res, err := RunMultiApp(cfg, apps, scale)
-	if err != nil {
-		panic(err)
-	}
-	return per, res
-}
-
-// ExpMultiApp reproduces the §7.2 discussion as a measurement: pairs of
-// applications co-run on partitioned CUs, baseline vs IC+LDS, verifying
-// the reconfigurable scheme still helps the translation-bound tenant
-// without hurting its neighbour.
-func ExpMultiApp(o ExpOptions) []*metrics.Table {
-	pairs := [][2]string{{"MVT", "SRAD"}, {"GEV", "SSSP"}, {"BICG", "PRK"}}
-	t := metrics.NewTable("§7.2 — multi-application co-runs (per-app speedup of IC+LDS over co-run baseline)",
-		"pair", "appA", "appB")
-	for _, p := range pairs {
-		if len(o.Apps) > 0 {
-			continue // pair set is fixed; app restriction not meaningful
-		}
-		wa, _ := workloads.ByName(p[0])
-		wb, _ := workloads.ByName(p[1])
-		basePer, _ := MustRunMultiApp(DefaultConfig(Baseline()), []workloads.Workload{wa, wb}, o.scale())
-		combPer, _ := MustRunMultiApp(DefaultConfig(Combined()), []workloads.Workload{wa, wb}, o.scale())
-		sa := float64(basePer[0].FinishedAt) / float64(combPer[0].FinishedAt)
-		sb := float64(basePer[1].FinishedAt) / float64(combPer[1].FinishedAt)
-		t.AddRow(p[0]+"+"+p[1], metrics.F(sa), metrics.F(sb))
-	}
-	t.AddNote("per-CU LDS keeps each tenant's translations private; the shared I-cache is the only cross-tenant structure (§7.2)")
-	return []*metrics.Table{t}
 }

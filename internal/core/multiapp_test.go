@@ -7,12 +7,22 @@ import (
 	"gpureach/internal/workloads"
 )
 
+// runMultiApp prepares and runs a §7.2 co-run, returning preset-shape
+// and simulation errors alike.
+func runMultiApp(cfg Config, apps []workloads.Workload, scale float64) ([]MultiAppResult, Results, error) {
+	m, err := PrepareMultiApp(cfg, apps, scale)
+	if err != nil {
+		return nil, Results{}, err
+	}
+	return m.Run()
+}
+
 func TestRunMultiAppPartitionsAndCompletes(t *testing.T) {
 	mvt, _ := workloads.ByName("MVT")
 	srad, _ := workloads.ByName("SRAD")
-	per, all, err := RunMultiApp(DefaultConfig(Baseline()), []workloads.Workload{mvt, srad}, smokeScale)
+	per, all, err := runMultiApp(DefaultConfig(Baseline()), []workloads.Workload{mvt, srad}, smokeScale)
 	if err != nil {
-		t.Fatalf("RunMultiApp: %v", err)
+		t.Fatalf("co-run: %v", err)
 	}
 	if len(per) != 2 {
 		t.Fatalf("got %d per-app results", len(per))
@@ -40,8 +50,14 @@ func TestRunMultiAppSchemeHelpsWithoutHarm(t *testing.T) {
 	mvt, _ := workloads.ByName("MVT")
 	srad, _ := workloads.ByName("SRAD")
 	pair := []workloads.Workload{mvt, srad}
-	basePer, _ := MustRunMultiApp(DefaultConfig(Baseline()), pair, 0.25)
-	combPer, _ := MustRunMultiApp(DefaultConfig(Combined()), pair, 0.25)
+	basePer, _, err := runMultiApp(DefaultConfig(Baseline()), pair, 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	combPer, _, err := runMultiApp(DefaultConfig(Combined()), pair, 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
 	mvtSpeed := float64(basePer[0].FinishedAt) / float64(combPer[0].FinishedAt)
 	sradSpeed := float64(basePer[1].FinishedAt) / float64(combPer[1].FinishedAt)
 	if mvtSpeed < 1.0 {
@@ -66,9 +82,9 @@ func TestRunMultiAppValidation(t *testing.T) {
 		{"non-dividing partition", []workloads.Workload{w, w, w}, "partition"},
 	}
 	for _, c := range cases {
-		_, _, err := RunMultiApp(DefaultConfig(Baseline()), c.apps, 1)
+		_, err := PrepareMultiApp(DefaultConfig(Baseline()), c.apps, 1)
 		if err == nil {
-			t.Errorf("%s: RunMultiApp accepted invalid preset", c.name)
+			t.Errorf("%s: PrepareMultiApp accepted invalid preset", c.name)
 			continue
 		}
 		if !strings.Contains(err.Error(), c.want) {

@@ -192,13 +192,3 @@ func Run(cfg Config, w workloads.Workload, scale float64) (Results, error) {
 	kernels := w.Build(s.Space, scale)
 	return s.Run(w.Name, kernels)
 }
-
-// MustRun is Run for trusted configurations — experiment presets and
-// tests where a simulation failure is a bug worth crashing on.
-func MustRun(cfg Config, w workloads.Workload, scale float64) Results {
-	r, err := Run(cfg, w, scale)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}

@@ -1,13 +1,11 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
 	"gpureach/internal/gpu"
 	"gpureach/internal/sample"
 	"gpureach/internal/sim"
-	"gpureach/internal/workloads"
 )
 
 // ArmSampling installs a sampling controller over the kernels about to
@@ -18,6 +16,12 @@ import (
 // every fast-forward → detailed transition (fast-forward drives shared
 // ports without consuming time, so their grant schedules must be
 // clamped to "now" before detailed timing resumes).
+//
+// In a sampled run, instruction counts stay exact, but content-level
+// event counters (walks, hit totals, victim hits) cover only the warmed
+// and detailed spans; use the Estimate's per-window rates for full-run
+// translation metrics. Ratios such as hit rates stay representative
+// because both sides are truncated together.
 func (s *System) ArmSampling(sc sample.Config, kernels []*gpu.Kernel) *sample.Controller {
 	ctrl := sample.NewController(gpu.TotalWaveInstrs(kernels), sc, sample.Hooks{
 		Now:           s.Eng.Now,
@@ -27,44 +31,6 @@ func (s *System) ArmSampling(sc sample.Config, kernels []*gpu.Kernel) *sample.Co
 	})
 	s.GPU.Sampler = ctrl
 	return ctrl
-}
-
-// RunSampled is Run in sampled-execution mode: detailed measurement
-// windows alternate with fast-forward functional warming, and the
-// returned Results carry the extrapolated cycle count (rounded from
-// the estimate mean) in place of the literal engine clock. The full
-// Estimate — per-window samples and mean ± 95% CI for CPI, IPC and
-// walk PKI — rides alongside. Instruction counts in Results stay
-// exact in every mode, but content-level event counters (walks, hit
-// totals, victim hits) cover only the warmed and detailed spans: far
-// from any window, fast-forward skips structure transitions entirely
-// and rebuilds state during a bounded warming run-in before each
-// detailed window. Use the Estimate's WalkPKI (and other per-window
-// rates) for full-run translation metrics; raw-counter *ratios* such
-// as hit rates remain representative because both sides of the ratio
-// are truncated together.
-//
-// A disabled sc degrades to a plain full-detail Run with a nil
-// estimate.
-func RunSampled(cfg Config, w workloads.Workload, scale float64, sc sample.Config) (Results, *sample.Estimate, error) {
-	sc = sc.Normalize()
-	if err := sc.Validate(); err != nil {
-		return Results{}, nil, err
-	}
-	if !sc.Enabled() {
-		r, err := Run(cfg, w, scale)
-		return r, nil, err
-	}
-	s := NewSystem(cfg)
-	kernels := w.Build(s.Space, scale)
-	ctrl := s.ArmSampling(sc, kernels)
-	res, err := s.Run(w.Name, kernels)
-	if err != nil {
-		return res, nil, err
-	}
-	est := ctrl.Estimate()
-	ApplyEstimate(&res, est)
-	return res, est, nil
 }
 
 // ApplyEstimate folds a sampling estimate into measured Results: the
@@ -81,68 +47,5 @@ func ApplyEstimate(res *Results, est *sample.Estimate) {
 	}
 	if est.WalkPKI.N > 0 && res.ThreadInstrs > 0 {
 		res.PTWPKI = est.WalkPKI.Mean * float64(res.WaveInstrs) / float64(res.ThreadInstrs)
-	}
-}
-
-// MustRunSampled is RunSampled for trusted configurations — harness
-// fast paths and tests where a simulation failure is a bug worth
-// crashing on.
-func MustRunSampled(cfg Config, w workloads.Workload, scale float64, sc sample.Config) (Results, *sample.Estimate) {
-	r, est, err := RunSampled(cfg, w, scale, sc)
-	if err != nil {
-		panic(err)
-	}
-	return r, est
-}
-
-// CalibrationRunner returns a sample.Validate runner: each pair is
-// measured four ways (full-detail and sampled, baseline and scheme) at
-// the given scale and sampling config. Per-app baseline runs are
-// reused across cells, so an N-cell matrix over K apps costs K
-// baseline pairs plus N scheme pairs. The cross-validation harness
-// (gpureach exp calibrate-sampling, TestSampledMatchesFullDetail)
-// builds its error table on top of this.
-func CalibrationRunner(scale float64, sc sample.Config) func(sample.Pair) (sample.PairOutcome, error) {
-	type baseRuns struct {
-		full uint64
-		samp *sample.Estimate
-	}
-	base := map[string]baseRuns{}
-	return func(p sample.Pair) (sample.PairOutcome, error) {
-		w, ok := workloads.ByName(p.App)
-		if !ok {
-			return sample.PairOutcome{}, fmt.Errorf("core: unknown workload %q", p.App)
-		}
-		scheme, ok := SchemeByName(p.Scheme)
-		if !ok {
-			return sample.PairOutcome{}, fmt.Errorf("core: unknown scheme %q", p.Scheme)
-		}
-		b, ok := base[p.App]
-		if !ok {
-			fr, err := Run(DefaultConfig(Baseline()), w, scale)
-			if err != nil {
-				return sample.PairOutcome{}, err
-			}
-			_, est, err := RunSampled(DefaultConfig(Baseline()), w, scale, sc)
-			if err != nil {
-				return sample.PairOutcome{}, err
-			}
-			b = baseRuns{full: uint64(fr.Cycles), samp: est}
-			base[p.App] = b
-		}
-		fs, err := Run(DefaultConfig(scheme), w, scale)
-		if err != nil {
-			return sample.PairOutcome{}, err
-		}
-		_, ss, err := RunSampled(DefaultConfig(scheme), w, scale, sc)
-		if err != nil {
-			return sample.PairOutcome{}, err
-		}
-		return sample.PairOutcome{
-			FullBaseCycles:   b.full,
-			FullSchemeCycles: uint64(fs.Cycles),
-			SampledBase:      b.samp,
-			SampledScheme:    ss,
-		}, nil
 	}
 }

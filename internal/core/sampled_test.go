@@ -9,46 +9,6 @@ import (
 	"gpureach/internal/workloads"
 )
 
-// validationConfig is the sampling configuration the cross-validation
-// matrix runs at: six windows with a quarter of each detailed keeps
-// windows long enough for the short test-scale runs to reach steady
-// state inside every window, and makes the warming run-in cover the
-// whole inter-window gap (nothing skipped — the f=0.05 skip path gets
-// its own coverage in TestSampledSkipPathAccuracy).
-var validationConfig = sample.Config{Windows: 6, DetailFrac: 0.25, Seed: 1}
-
-// validationPairs is the app × scheme matrix TestSampledMatchesFullDetail
-// checks. The apps span the paper's categories (GUPS thrash, graph
-// irregular, dense streaming); the very short ATAX-family kernels are
-// deliberately absent — at scale 0.05 they retire too few instructions
-// for interval sampling to be meaningful.
-var validationPairs = []sample.Pair{
-	{App: "GUPS", Scheme: "ic+lds"},
-	{App: "GUPS", Scheme: "lds"},
-	{App: "BFS", Scheme: "ic-aware"},
-	{App: "SSSP", Scheme: "ic+lds"},
-	{App: "PRK", Scheme: "lds"},
-	{App: "NW", Scheme: "ic-aware"},
-}
-
-// TestSampledMatchesFullDetail is the statistical cross-validation
-// gate: over the app × scheme matrix, the sampled speedup estimate
-// must land within 5% of the full-detail speedup and the sampled 95%
-// confidence interval must cover the full-detail truth.
-func TestSampledMatchesFullDetail(t *testing.T) {
-	if testing.Short() {
-		t.Skip("cross-validation matrix runs full-detail references; skipped under -short")
-	}
-	rep, err := sample.Validate(validationPairs, CalibrationRunner(0.05, validationConfig))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("\n%s", rep.Table())
-	if err := rep.Check(0.05); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestSampledSkipPathAccuracy covers the skip phase: at a 5% detail
 // fraction the warming run-in is far shorter than the inter-window
 // gap, so most fast-forward instructions skip structure warming
@@ -65,10 +25,10 @@ func TestSampledSkipPathAccuracy(t *testing.T) {
 	w, _ := workloads.ByName("GUPS")
 	const scale = 0.05
 	sc := sample.Config{Windows: 8, DetailFrac: 0.05, Seed: 1}
-	fullBase := MustRun(DefaultConfig(Baseline()), w, scale)
-	fullScheme := MustRun(DefaultConfig(Combined()), w, scale)
-	_, sampBase := MustRunSampled(DefaultConfig(Baseline()), w, scale, sc)
-	_, sampScheme := MustRunSampled(DefaultConfig(Combined()), w, scale, sc)
+	fullBase := mustRun(t, DefaultConfig(Baseline()), w, scale)
+	fullScheme := mustRun(t, DefaultConfig(Combined()), w, scale)
+	_, sampBase := runSampled(t, DefaultConfig(Baseline()), w, scale, sc)
+	_, sampScheme := runSampled(t, DefaultConfig(Combined()), w, scale, sc)
 	if sampBase.MeasuredInstrs*4 > sampBase.TotalInstrs {
 		t.Fatalf("measured %d of %d instrs — config no longer exercises the skip path",
 			sampBase.MeasuredInstrs, sampBase.TotalInstrs)
@@ -92,7 +52,7 @@ func TestSampledDeterminism(t *testing.T) {
 	run := func(seed uint64) (Results, *sample.Estimate) {
 		c := sc
 		c.Seed = seed
-		return MustRunSampled(DefaultConfig(Combined()), w, 0.05, c)
+		return runSampled(t, DefaultConfig(Combined()), w, 0.05, c)
 	}
 	r1, e1 := run(1)
 	r2, e2 := run(1)

@@ -655,17 +655,22 @@ func TestServeHTTPSurface(t *testing.T) {
 		t.Fatalf("unknown-field spec = %d, want 400", resp.StatusCode)
 	}
 
-	// Invalid spec value: 400 with the validation message.
-	resp, err = http.Post(ts.URL+"/campaigns", "application/json",
-		strings.NewReader(`{"apps":["NOSUCHAPP"]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var msg map[string]string
-	json.NewDecoder(resp.Body).Decode(&msg)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg["error"], "NOSUCHAPP") {
-		t.Fatalf("invalid spec = %d %v, want 400 naming the app", resp.StatusCode, msg)
+	// Invalid spec values: 400 with the validation message. A negative
+	// scale is rejected, not normalized to 1.0.
+	for _, c := range []struct{ body, want string }{
+		{`{"apps":["NOSUCHAPP"]}`, "NOSUCHAPP"},
+		{`{"apps":["ATAX"],"scale":-1}`, "negative scale"},
+	} {
+		resp, err = http.Post(ts.URL+"/campaigns", "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var msg map[string]string
+		json.NewDecoder(resp.Body).Decode(&msg)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg["error"], c.want) {
+			t.Fatalf("invalid spec %s = %d %v, want 400 naming %q", c.body, resp.StatusCode, msg, c.want)
+		}
 	}
 
 	// Unknown campaign: 404 everywhere.

@@ -21,6 +21,7 @@ import (
 	"gpureach/internal/chaos"
 	"gpureach/internal/core"
 	"gpureach/internal/sample"
+	"gpureach/internal/sim"
 	"gpureach/internal/workloads"
 )
 
@@ -83,7 +84,8 @@ func (s Spec) SampleConfig() sample.Config {
 // prepended (and deduplicated) so every point has its speedup
 // reference, the fault-free chaos rate prepended (and the ladder
 // deduplicated) so every robustness point has its slowdown anchor,
-// scale clamped to 1.0 when unset, and singleton default axes
+// scale 1.0 when unset (only 0 counts as unset: Validate rejects
+// negative and non-finite scales), and singleton default axes
 // elsewhere.
 func (s Spec) Normalize() Spec {
 	n := s
@@ -101,7 +103,7 @@ func (s Spec) Normalize() Spec {
 		}
 	}
 	n.Schemes = schemes
-	if n.Scale <= 0 {
+	if n.Scale == 0 {
 		n.Scale = 1.0
 	}
 	if len(n.L2TLB) == 0 {
@@ -194,12 +196,16 @@ func (s Spec) chaosCells() []chaosCell {
 }
 
 // Validate rejects unknown apps, schemes, page sizes and tenancy
-// mixes with errors that list the valid names, and malformed chaos
-// dimensions (NaN/negative/super-unity rates, the reserved seed 0,
-// seeds without a rate to pair with) with errors that name the rule.
+// mixes with errors that list the valid names, and NaN, infinite or
+// negative scales and malformed chaos dimensions (NaN/negative/
+// super-unity rates, the reserved seed 0, seeds without a rate to pair
+// with) with errors that name the rule.
 // It expects a Normalized spec but also works on a raw one.
 func (s Spec) Validate() error {
 	if _, err := core.ResolveApps(s.Apps); err != nil {
+		return fmt.Errorf("sweep spec: %w", err)
+	}
+	if err := core.ValidateScale(s.Scale); err != nil {
 		return fmt.Errorf("sweep spec: %w", err)
 	}
 	for _, name := range s.Schemes {
@@ -316,6 +322,16 @@ type Run struct {
 	SampleWindows    int     `json:"sample_windows,omitempty"`
 	SampleDetailFrac float64 `json:"sample_detail_frac,omitempty"`
 	SampleSeed       uint64  `json:"sample_seed,omitempty"`
+	// The sensitivity knobs of the paper experiments, which no Spec
+	// axis sweeps. Zero means the Table 1 default. PerfectL2TLB is the
+	// Fig 2 bound; ICSharers is the Fig 16a sharing degree at constant
+	// total I-cache capacity; the wire latencies are the Fig 16b extra
+	// cycles; LDSSegmentBytes is the §6.3.1 segment size.
+	PerfectL2TLB    bool     `json:"perfect_l2tlb,omitempty"`
+	ICSharers       int      `json:"ic_sharers,omitempty"`
+	WireLatencyIC   sim.Time `json:"wire_latency_ic,omitempty"`
+	WireLatencyLDS  sim.Time `json:"wire_latency_lds,omitempty"`
+	LDSSegmentBytes int      `json:"lds_segment_bytes,omitempty"`
 }
 
 // SampleConfig assembles the run's sampling coordinate.
@@ -336,6 +352,20 @@ func (r Run) Config() (core.Config, error) {
 	cfg := core.DefaultConfig(scheme)
 	cfg.L2TLBEntries = r.L2TLB
 	cfg.PageSize = ps
+	cfg.PerfectL2TLB = r.PerfectL2TLB
+	if r.ICSharers != 0 {
+		if r.ICSharers < 0 || cfg.GPU.NumCUs%r.ICSharers != 0 {
+			return core.Config{}, fmt.Errorf("sweep: %d I-cache sharers do not divide %d CUs", r.ICSharers, cfg.GPU.NumCUs)
+		}
+		total := cfg.ICache.SizeBytes * (cfg.GPU.NumCUs / cfg.ICSharers)
+		cfg.ICSharers = r.ICSharers
+		cfg.ICache.SizeBytes = total / (cfg.GPU.NumCUs / r.ICSharers)
+	}
+	cfg.WireLatencyIC += r.WireLatencyIC
+	cfg.WireLatencyLDS += r.WireLatencyLDS
+	if r.LDSSegmentBytes != 0 {
+		cfg.LDS.SegmentBytes = r.LDSSegmentBytes
+	}
 	return cfg, nil
 }
 
@@ -400,6 +430,18 @@ func (r Run) String() string {
 	}
 	if r.SampleWindows > 0 {
 		s += " sampled " + r.SampleConfig().String()
+	}
+	if r.PerfectL2TLB {
+		s += " perfect-l2tlb"
+	}
+	if r.ICSharers != 0 {
+		s += fmt.Sprintf(" ic-sharers=%d", r.ICSharers)
+	}
+	if r.WireLatencyIC != 0 || r.WireLatencyLDS != 0 {
+		s += fmt.Sprintf(" wire=+%d/+%d", r.WireLatencyIC, r.WireLatencyLDS)
+	}
+	if r.LDSSegmentBytes != 0 {
+		s += fmt.Sprintf(" lds-seg=%dB", r.LDSSegmentBytes)
 	}
 	return s
 }

@@ -89,9 +89,13 @@ func TestValidateChaosAndTenancyDimensions(t *testing.T) {
 		{"too many tenants", Spec{Tenancy: []string{"MVT+SRAD+GEV+SSSP+BICG"}}, "VM-ID limit"},
 		{"uneven partition", Spec{Tenancy: []string{"MVT+SRAD+GEV"}}, "partition"},
 		{"empty mix", Spec{Tenancy: []string{"+"}}, "empty tenancy mix"},
+		{"NaN scale", Spec{Scale: math.NaN()}, "NaN"},
+		{"infinite scale", Spec{Scale: math.Inf(1)}, "infinite"},
+		{"negative scale", Spec{Scale: -1}, "negative scale"},
 	}
 	for _, c := range bad {
-		err := c.spec.Validate()
+		// Normalize must not repair a bad spec before Validate sees it.
+		err := c.spec.Normalize().Validate()
 		if err == nil {
 			t.Errorf("%s: Validate accepted %+v", c.name, c.spec)
 			continue
@@ -158,10 +162,37 @@ func TestDigestSeparatesConfigAxes(t *testing.T) {
 		{App: "ATAX", Scheme: "baseline", Scale: 0.05, L2TLB: 1024, PageSize: "4K"},
 		{App: "ATAX", Scheme: "baseline", Scale: 0.05, L2TLB: 512, PageSize: "2M"},
 		{App: "ATAX", Scheme: "baseline", Scale: 0.05, L2TLB: 512, PageSize: "4K", ChaosSeed: 7, ChaosRate: 0.01},
+		{App: "ATAX", Scheme: "baseline", Scale: 0.05, L2TLB: 512, PageSize: "4K", PerfectL2TLB: true},
+		{App: "ATAX", Scheme: "baseline", Scale: 0.05, L2TLB: 512, PageSize: "4K", ICSharers: 8},
+		{App: "ATAX", Scheme: "baseline", Scale: 0.05, L2TLB: 512, PageSize: "4K", WireLatencyIC: 10},
+		{App: "ATAX", Scheme: "baseline", Scale: 0.05, L2TLB: 512, PageSize: "4K", WireLatencyLDS: 10},
+		{App: "ATAX", Scheme: "baseline", Scale: 0.05, L2TLB: 512, PageSize: "4K", LDSSegmentBytes: 64},
 	}
 	for _, v := range variants {
 		if v.Digest() == base.Digest() {
 			t.Errorf("digest does not separate %v from %v", v, base)
+		}
+	}
+	// Fields left at zero, or set to their Table 1 value, are the
+	// default configuration and share its cache slot.
+	same := base
+	same.ICSharers, same.LDSSegmentBytes = 4, 32
+	if same.Digest() != base.Digest() {
+		t.Errorf("Table 1 values of the sensitivity fields moved the digest of %v", base)
+	}
+	// Digests of default runs are pinned: existing cache directories
+	// and journals keep their slots.
+	pinned := []struct {
+		run  Run
+		want string
+	}{
+		{Run{App: "ATAX", Scheme: "baseline", Scale: 1, L2TLB: 512, PageSize: "4K"}, "237b5c801fb97ae5"},
+		{Run{App: "GUPS", Scheme: "ic+lds", Scale: 0.05, L2TLB: 512, PageSize: "4K"}, "9509df8265233114"},
+		{Run{App: "MVT+SRAD", Tenants: "MVT+SRAD", Scheme: "ic+lds", Scale: 0.05, L2TLB: 512, PageSize: "4K"}, "4df198f6a9e5dc92"},
+	}
+	for _, p := range pinned {
+		if got := p.run.DigestHex(); got != p.want {
+			t.Errorf("digest of %v = %s, pinned %s", p.run, got, p.want)
 		}
 	}
 }
@@ -418,8 +449,14 @@ func TestAggregateMatchesExperimentHarness(t *testing.T) {
 	got := agg.Points[0].Apps[0].Speedup["ic+lds"]
 
 	w, _ := core.ResolveApps([]string{"ATAX"})
-	base := core.MustRun(core.DefaultConfig(core.Baseline()), w[0], 0.05)
-	comb := core.MustRun(core.DefaultConfig(core.Combined()), w[0], 0.05)
+	base, err := core.Run(core.DefaultConfig(core.Baseline()), w[0], 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	comb, err := core.Run(core.DefaultConfig(core.Combined()), w[0], 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := comb.Speedup(base)
 	if got != want {
 		t.Fatalf("sweep speedup %v != direct speedup %v", got, want)
