@@ -29,12 +29,14 @@
 #                     the in-process pool, asserting byte-identical aggregates
 #   make coverage     statement-coverage gate: internal/sample and
 #                     internal/stats must each cover >= 85%
+#   make loc          net production LOC: lines of non-test .go files
+#                     outside perfbench/ and testdata/
 
 GO ?= go
 
 .DEFAULT_GOAL := tier1
 
-.PHONY: tier1 tier2 lint bench bench-smoke bench-paper exp-smoke sweep-smoke chaos-smoke sample-smoke serve-smoke shard-smoke coverage
+.PHONY: tier1 tier2 lint bench bench-smoke bench-paper exp-smoke sweep-smoke chaos-smoke sample-smoke serve-smoke shard-smoke coverage loc
 
 tier1:
 	$(GO) build ./...
@@ -139,3 +141,8 @@ coverage:
 		if [ "$$ok" != "1" ]; then echo "$$pkg coverage $$pct% < 85%"; rm -f .coverage.out; exit 1; fi; \
 	done
 	@rm -f .coverage.out
+
+loc:
+	@find . -path './.*' -prune -o -path ./perfbench -prune -o -path '*/testdata' -prune -o \
+		-name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l | \
+		awk '{print "production LOC:", $$1}'

@@ -31,7 +31,7 @@ import (
 )
 
 // Config parameterizes an injection schedule. The zero value is inert
-// (Rate 0 injects nothing); New fills unset knobs with defaults.
+// (Rate 0 injects nothing); New fills unset weights with defaults.
 type Config struct {
 	// Seed drives the deterministic PRNG behind the schedule.
 	Seed uint64
@@ -53,37 +53,28 @@ type Config struct {
 	StallWeight     int
 	VMShootWeight   int
 	MigStormWeight  int
-
-	// StallCycles is how long one walker stall lasts (default 500).
-	StallCycles sim.Time
-	// ReclaimBytes is the LDS reservation size of one injected
-	// work-group allocation (default 4KB — a quarter of a Table 1 LDS).
-	ReclaimBytes int
-	// ReclaimHold is how long an injected reservation is held before
-	// release (default 5000 cycles).
-	ReclaimHold sim.Time
-	// StormPages bounds how many pages a single VM-ID-targeted
-	// shootdown storm invalidates (default 4).
-	StormPages int
 }
+
+// The fixed sizes of the injected faults.
+const (
+	// stallCycles is how long one walker stall lasts.
+	stallCycles sim.Time = 500
+	// reclaimBytes is the LDS reservation size of one injected
+	// work-group allocation: a quarter of a Table 1 LDS.
+	reclaimBytes = 4 << 10
+	// reclaimHold is how long an injected reservation is held before
+	// release, in cycles.
+	reclaimHold sim.Time = 5000
+	// stormPages bounds how many pages a single VM-ID-targeted
+	// shootdown storm invalidates.
+	stormPages = 4
+)
 
 func (c Config) withDefaults() Config {
 	if c.ShootdownWeight == 0 && c.MigrationWeight == 0 && c.ReclaimWeight == 0 &&
 		c.StallWeight == 0 && c.VMShootWeight == 0 && c.MigStormWeight == 0 {
 		c.ShootdownWeight, c.MigrationWeight, c.ReclaimWeight, c.StallWeight = 4, 2, 2, 1
 		c.VMShootWeight, c.MigStormWeight = 2, 1
-	}
-	if c.StormPages == 0 {
-		c.StormPages = 4
-	}
-	if c.StallCycles == 0 {
-		c.StallCycles = 500
-	}
-	if c.ReclaimBytes == 0 {
-		c.ReclaimBytes = 4 << 10
-	}
-	if c.ReclaimHold == 0 {
-		c.ReclaimHold = 5000
 	}
 	return c
 }
@@ -419,7 +410,7 @@ func (in *Injector) migratePage(sp *vm.AddrSpace, vpn vm.VPN) bool {
 }
 
 // vmShootdown is the §7.2 multi-tenant invalidation storm: it picks one
-// VM-ID and delivers shootdowns for up to StormPages of that space's
+// VM-ID and delivers shootdowns for up to stormPages of that space's
 // pages in a single engine event — the burst a driver tearing down or
 // trimming one tenant's mappings would issue. Every page is verified by
 // the after-fault probes, so a shootdown that leaks into (or skips)
@@ -428,7 +419,7 @@ func (in *Injector) vmShootdown() {
 	sp := in.sys.Spaces[in.rng.Intn(len(in.sys.Spaces))]
 	seen := make(map[vm.VPN]bool)
 	var keys []tlb.Key
-	for len(keys) < in.cfg.StormPages {
+	for len(keys) < stormPages {
 		vpn, ok := in.pickPageOf(sp)
 		if !ok || seen[vpn] {
 			break // space empty, or the hot set is smaller than the storm
@@ -475,7 +466,7 @@ func (in *Injector) migrationStorm() {
 
 // reclaim performs a work-group LDS allocation on one CU, instantly
 // reclaiming any Tx-mode segments in its way (§4.2.3), holds it for
-// ReclaimHold cycles, then frees it and kicks the dispatcher. Injected
+// reclaimHold cycles, then frees it and kicks the dispatcher. Injected
 // reservations use negative tokens so they can never collide with the
 // scheduler's work-group tokens.
 func (in *Injector) reclaim() {
@@ -487,12 +478,12 @@ func (in *Injector) reclaim() {
 	ldsUnit := in.sys.LDSs[cu]
 	in.holdSeq++
 	token := -in.holdSeq
-	if !ldsUnit.AllocWorkgroup(token, in.cfg.ReclaimBytes) {
+	if !ldsUnit.AllocWorkgroup(token, reclaimBytes) {
 		in.stats.SkippedNoTarget++ // LDS too full even for chaos
 		return
 	}
 	in.holds[cu] = true
-	in.sys.Eng.After(in.cfg.ReclaimHold, func() {
+	in.sys.Eng.After(reclaimHold, func() {
 		ldsUnit.FreeWorkgroup(token)
 		delete(in.holds, cu)
 		in.sys.GPU.Kick()
@@ -502,7 +493,7 @@ func (in *Injector) reclaim() {
 	in.stats.Violations += in.sys.Check(check.AfterFault, "chaos:reclaim")
 }
 
-// stall freezes walk starts for StallCycles — walks issued in the
+// stall freezes walk starts for stallCycles — walks issued in the
 // window begin only when it closes. A stall landing while a window is
 // already open is the same stall, not a fresh one: extending the window
 // every time would let high injection rates keep the walkers stalled
@@ -513,7 +504,7 @@ func (in *Injector) stall() {
 		in.stats.SkippedStallOpen++
 		return
 	}
-	in.sys.IOMMU.StallWalkers(in.cfg.StallCycles)
+	in.sys.IOMMU.StallWalkers(stallCycles)
 	in.stats.Stalls++
 	in.record("stall", vm.SpaceID{}, 0, -1)
 	in.stats.Violations += in.sys.Check(check.AfterFault, "chaos:stall")

@@ -150,3 +150,14 @@ func ValidateScale(s float64) error {
 	}
 	return nil
 }
+
+// ValidateL2TLB rejects L2 TLB sizes the set-associative array cannot
+// be built with: the size must be a positive multiple of the Table 1
+// associativity (L2TLBWays).
+func ValidateL2TLB(entries int) error {
+	ways := DefaultConfig(Baseline()).L2TLBWays
+	if entries <= 0 || entries%ways != 0 {
+		return fmt.Errorf("invalid L2 TLB size %d; it must be a positive multiple of %d, the L2 TLB's associativity", entries, ways)
+	}
+	return nil
+}

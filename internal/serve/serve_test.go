@@ -656,10 +656,13 @@ func TestServeHTTPSurface(t *testing.T) {
 	}
 
 	// Invalid spec values: 400 with the validation message. A negative
-	// scale is rejected, not normalized to 1.0.
+	// scale is rejected, not normalized to 1.0; an L2 TLB size the
+	// set-associative array cannot be built with is rejected here
+	// instead of panicking the server mid-campaign.
 	for _, c := range []struct{ body, want string }{
 		{`{"apps":["NOSUCHAPP"]}`, "NOSUCHAPP"},
 		{`{"apps":["ATAX"],"scale":-1}`, "negative scale"},
+		{`{"apps":["ATAX"],"l2tlb":[24]}`, "positive multiple of 16"},
 	} {
 		resp, err = http.Post(ts.URL+"/campaigns", "application/json", strings.NewReader(c.body))
 		if err != nil {

@@ -70,10 +70,12 @@ type RunResult struct {
 
 // ChaosOutcome summarizes the injected-fault side of one run: the
 // schedule digest (a pure function of config, seed and rate — the
-// determinism witness) and the injector's counters.
+// determinism witness), the injector's counters and how many times the
+// live invariant checker ran its probes.
 type ChaosOutcome struct {
 	ScheduleDigest string      `json:"schedule_digest"`
 	Stats          chaos.Stats `json:"stats"`
+	ProbeRuns      uint64      `json:"probe_runs"`
 }
 
 // Progress is one campaign progress observation.
@@ -295,7 +297,7 @@ func ExecuteRun(run Run) (RunResult, error) {
 		ctrl = sys.ArmSampling(sc, kernels)
 	}
 	res, err := sys.Run(w.Name, kernels)
-	rr := RunResult{Results: res, Chaos: chaosOutcome(inj)}
+	rr := RunResult{Results: res, Chaos: chaosOutcome(inj, sys.Checker)}
 	if ctrl != nil && err == nil {
 		rr.Sampled = ctrl.Estimate()
 		core.ApplyEstimate(&rr.Results, rr.Sampled)
@@ -318,29 +320,31 @@ func executeTenancy(run Run, cfg core.Config) (RunResult, error) {
 	}
 	inj := armChaos(m.Sys, run)
 	per, res, err := m.Run()
-	return RunResult{Results: res, PerApp: per, Chaos: chaosOutcome(inj)}, err
+	return RunResult{Results: res, PerApp: per, Chaos: chaosOutcome(inj, m.Sys.Checker)}, err
 }
 
 // armChaos attaches a live invariant checker and a seeded injector for
-// chaos cells (rate > 0); fault-free cells run bare, exactly as they
-// did before the chaos dimensions existed.
+// chaos cells (rate > 0), capped at ChaosMax injections when set;
+// fault-free cells run bare, exactly as they did before the chaos
+// dimensions existed.
 func armChaos(sys *core.System, run Run) *chaos.Injector {
 	if run.ChaosRate <= 0 {
 		return nil
 	}
 	sys.Checker = check.NewChecker()
-	inj := chaos.New(sys, chaos.Config{Seed: run.ChaosSeed, Rate: run.ChaosRate})
+	inj := chaos.New(sys, chaos.Config{Seed: run.ChaosSeed, Rate: run.ChaosRate, MaxInjections: run.ChaosMax})
 	inj.Arm()
 	return inj
 }
 
-func chaosOutcome(inj *chaos.Injector) *ChaosOutcome {
+func chaosOutcome(inj *chaos.Injector, checker *check.Checker) *ChaosOutcome {
 	if inj == nil {
 		return nil
 	}
 	return &ChaosOutcome{
 		ScheduleDigest: fmt.Sprintf("%016x", inj.Digest()),
 		Stats:          inj.Stats(),
+		ProbeRuns:      checker.Runs(),
 	}
 }
 

@@ -178,15 +178,37 @@ func TestRobustnessByteIdenticalAcrossProcs(t *testing.T) {
 	}
 
 	// The campaign must actually have been adversarial: injections
-	// happened, and the scorecard scored both rates for both rows.
+	// happened, every chaos run probed its invariants, and the
+	// scorecard scored both rates for both rows.
 	injections := uint64(0)
-	for _, rec := range serial.Records {
+	var first *Record
+	for i, rec := range serial.Records {
 		if rec.Chaos != nil {
 			injections += rec.Chaos.Stats.Injections
+			if rec.Chaos.ProbeRuns == 0 {
+				t.Errorf("%v: no invariant probe runs", rec.Run)
+			}
+			if first == nil && rec.Chaos.Stats.Injections > 5 {
+				first = &serial.Records[i]
+			}
 		}
 	}
-	if injections == 0 {
-		t.Fatal("no chaos injections across the whole campaign")
+	if injections == 0 || first == nil {
+		t.Fatal("no chaos run injected more than five faults across the whole campaign")
+	}
+	// ChaosMax stops the same schedule early: the run reaches the cap
+	// (a storm may overshoot it within its last event) and then stops.
+	capped := first.Run
+	capped.ChaosMax = 5
+	rr, err := ExecuteRun(capped)
+	if err != nil {
+		t.Fatalf("%v: %v", capped, err)
+	}
+	if got := rr.Chaos.Stats.Injections; got < 5 || got >= first.Chaos.Stats.Injections {
+		t.Errorf("%v: %d injections, want the cap 5 (uncapped: %d)", capped, got, first.Chaos.Stats.Injections)
+	}
+	if rr.Chaos.ProbeRuns == 0 || rr.Chaos.ProbeRuns >= first.Chaos.ProbeRuns {
+		t.Errorf("%v: %d probe runs, want fewer than the uncapped %d and more than 0", capped, rr.Chaos.ProbeRuns, first.Chaos.ProbeRuns)
 	}
 	rb := serial.Robustness()
 	if len(rb.Rows) != 4 { // 1 unit × 2 schemes × 2 rates

@@ -197,7 +197,8 @@ func (s Spec) chaosCells() []chaosCell {
 
 // Validate rejects unknown apps, schemes, page sizes and tenancy
 // mixes with errors that list the valid names, and NaN, infinite or
-// negative scales and malformed chaos dimensions (NaN/negative/
+// negative scales, L2 TLB sizes that are not a positive multiple of
+// its associativity, and malformed chaos dimensions (NaN/negative/
 // super-unity rates, the reserved seed 0, seeds without a rate to pair
 // with) with errors that name the rule.
 // It expects a Normalized spec but also works on a raw one.
@@ -221,8 +222,8 @@ func (s Spec) Validate() error {
 		}
 	}
 	for _, e := range s.L2TLB {
-		if e <= 0 {
-			return fmt.Errorf("sweep spec: non-positive L2 TLB size %d", e)
+		if err := core.ValidateL2TLB(e); err != nil {
+			return fmt.Errorf("sweep spec: %w", err)
 		}
 	}
 	for _, mix := range s.Tenancy {
@@ -315,6 +316,9 @@ type Run struct {
 	PageSize  string  `json:"pagesize"`
 	ChaosSeed uint64  `json:"chaos_seed,omitempty"`
 	ChaosRate float64 `json:"chaos_rate,omitempty"`
+	// ChaosMax stops injecting after this many faults (0 = no cap). No
+	// Spec axis sets it; the single-run CLI's -chaos max=M does.
+	ChaosMax uint64 `json:"chaos_max,omitempty"`
 	// SampleWindows/SampleDetailFrac/SampleSeed select sampled
 	// execution for this run (0 windows = full detail). Scalar fields,
 	// not a nested struct, so Run stays comparable — the resume and
@@ -348,6 +352,9 @@ func (r Run) Config() (core.Config, error) {
 	ps, ok := core.PageSizeByName(r.PageSize)
 	if !ok {
 		return core.Config{}, fmt.Errorf("sweep: unknown page size %q", r.PageSize)
+	}
+	if err := core.ValidateL2TLB(r.L2TLB); err != nil {
+		return core.Config{}, fmt.Errorf("sweep: %w", err)
 	}
 	cfg := core.DefaultConfig(scheme)
 	cfg.L2TLBEntries = r.L2TLB
@@ -403,6 +410,10 @@ func (r Run) Canonical() string {
 		fmt.Fprintf(&b, "run.SampleDetailFrac=%v\n", r.SampleDetailFrac)
 		fmt.Fprintf(&b, "run.SampleSeed=%d\n", r.SampleSeed)
 	}
+	// And for the injection cap: uncapped chaos runs keep their slots.
+	if r.ChaosMax != 0 {
+		fmt.Fprintf(&b, "run.ChaosMax=%d\n", r.ChaosMax)
+	}
 	return b.String()
 }
 
@@ -427,6 +438,9 @@ func (r Run) String() string {
 	s := fmt.Sprintf("%s/%s l2tlb=%d page=%s scale=%g", app, r.Scheme, r.L2TLB, r.PageSize, r.Scale)
 	if r.ChaosSeed != 0 {
 		s += fmt.Sprintf(" chaos=%d@%g", r.ChaosSeed, r.ChaosRate)
+	}
+	if r.ChaosMax != 0 {
+		s += fmt.Sprintf(" chaos-max=%d", r.ChaosMax)
 	}
 	if r.SampleWindows > 0 {
 		s += " sampled " + r.SampleConfig().String()

@@ -116,6 +116,7 @@ func TestValidateRejectsUnknownNames(t *testing.T) {
 		{Schemes: []string{"warp-drive"}},
 		{PageSizes: []string{"1G"}},
 		{L2TLB: []int{-1}},
+		{L2TLB: []int{24}},
 	}
 	for i, s := range cases {
 		if err := s.Validate(); err == nil {
@@ -172,6 +173,13 @@ func TestDigestSeparatesConfigAxes(t *testing.T) {
 		if v.Digest() == base.Digest() {
 			t.Errorf("digest does not separate %v from %v", v, base)
 		}
+	}
+	// The injection cap separates a chaos run from its uncapped twin.
+	chaosRun := Run{App: "ATAX", Scheme: "baseline", Scale: 0.05, L2TLB: 512, PageSize: "4K", ChaosSeed: 7, ChaosRate: 0.01}
+	capped := chaosRun
+	capped.ChaosMax = 5
+	if capped.Digest() == chaosRun.Digest() {
+		t.Errorf("digest does not separate %v from %v", capped, chaosRun)
 	}
 	// Fields left at zero, or set to their Table 1 value, are the
 	// default configuration and share its cache slot.
