@@ -76,11 +76,11 @@ exp-smoke:
 sweep-smoke:
 	rm -rf .sweep-smoke
 	$(GO) run ./cmd/gpureach sweep -apps ATAX,GUPS -schemes ic+lds \
-		-scale 0.05 -procs 2 -out .sweep-smoke/a -bench .sweep-smoke/BENCH_sweep.json
+		-scale 0.05 -procs 2 -out .sweep-smoke/a
 	$(GO) run ./cmd/gpureach sweep -apps ATAX,GUPS -schemes ic+lds \
-		-scale 0.05 -procs 2 -out .sweep-smoke/a -bench .sweep-smoke/BENCH_sweep.json -quiet
+		-scale 0.05 -procs 2 -out .sweep-smoke/a -quiet
 	$(GO) run ./cmd/gpureach sweep -apps ATAX,GUPS -schemes ic+lds \
-		-scale 0.05 -procs 1 -out .sweep-smoke/b -bench '' -quiet -no-tables
+		-scale 0.05 -procs 1 -out .sweep-smoke/b -quiet -no-tables
 	cmp .sweep-smoke/a/aggregate.json .sweep-smoke/b/aggregate.json
 	cmp .sweep-smoke/a/aggregate.csv .sweep-smoke/b/aggregate.csv
 	@echo "sweep-smoke: aggregates byte-identical across independent campaigns (procs 2 vs 1)"
@@ -89,10 +89,10 @@ chaos-smoke:
 	rm -rf .chaos-smoke
 	$(GO) run ./cmd/gpureach sweep -tenancy MVT+SRAD -schemes ic+lds \
 		-chaos-rates 0.002,0.01 -chaos-seeds 1,2 -scale 0.05 \
-		-procs 1 -out .chaos-smoke/p1 -bench '' -quiet -no-tables
+		-procs 1 -out .chaos-smoke/p1 -quiet -no-tables
 	$(GO) run ./cmd/gpureach sweep -tenancy MVT+SRAD -schemes ic+lds \
 		-chaos-rates 0.002,0.01 -chaos-seeds 1,2 -scale 0.05 \
-		-procs 4 -out .chaos-smoke/p4 -bench '' -quiet -no-tables
+		-procs 4 -out .chaos-smoke/p4 -quiet -no-tables
 	cmp .chaos-smoke/p1/robustness.json .chaos-smoke/p4/robustness.json
 	cmp .chaos-smoke/p1/robustness.csv .chaos-smoke/p4/robustness.csv
 	cmp .chaos-smoke/p1/aggregate.json .chaos-smoke/p4/aggregate.json
@@ -102,15 +102,15 @@ sample-smoke:
 	rm -rf .sample-smoke
 	$(GO) run ./cmd/gpureach sweep -apps GUPS,SRAD -schemes lds,ic+lds \
 		-sample windows=6,frac=0.25,seed=1 -scale 0.05 \
-		-procs 1 -out .sample-smoke/p1 -bench '' -quiet -no-tables
+		-procs 1 -out .sample-smoke/p1 -quiet -no-tables
 	$(GO) run ./cmd/gpureach sweep -apps GUPS,SRAD -schemes lds,ic+lds \
 		-sample windows=6,frac=0.25,seed=1 -scale 0.05 \
-		-procs 4 -out .sample-smoke/p4 -bench '' -quiet -no-tables
+		-procs 4 -out .sample-smoke/p4 -quiet -no-tables
 	cmp .sample-smoke/p1/aggregate.json .sample-smoke/p4/aggregate.json
 	cmp .sample-smoke/p1/aggregate.csv .sample-smoke/p4/aggregate.csv
 	$(GO) run ./cmd/gpureach sweep -apps GUPS,SRAD -schemes lds,ic+lds \
 		-sample windows=6,frac=0.25,seed=1 -scale 0.05 \
-		-procs 4 -out .sample-smoke/p4 -bench '' -quiet -no-tables
+		-procs 4 -out .sample-smoke/p4 -quiet -no-tables
 	cmp .sample-smoke/p1/aggregate.json .sample-smoke/p4/aggregate.json
 	grep -q '"sampled"' .sample-smoke/p1/journal.jsonl
 	@echo "sample-smoke: sampled estimates byte-identical across procs 1 vs 4 and across a cache pass"
@@ -125,9 +125,9 @@ shard-smoke:
 	rm -rf .shard-smoke
 	$(GO) build -o .shard-smoke/gpureach ./cmd/gpureach
 	./.shard-smoke/gpureach sweep -apps ATAX,GUPS -schemes ic+lds \
-		-scale 0.05 -workers 2 -out .shard-smoke/fleet -bench '' -quiet -no-tables
+		-scale 0.05 -workers 2 -out .shard-smoke/fleet -quiet -no-tables
 	./.shard-smoke/gpureach sweep -apps ATAX,GUPS -schemes ic+lds \
-		-scale 0.05 -procs 2 -out .shard-smoke/inproc -bench '' -quiet -no-tables
+		-scale 0.05 -procs 2 -out .shard-smoke/inproc -quiet -no-tables
 	cmp .shard-smoke/fleet/aggregate.json .shard-smoke/inproc/aggregate.json
 	cmp .shard-smoke/fleet/aggregate.csv .shard-smoke/inproc/aggregate.csv
 	@echo "shard-smoke: 2-worker subprocess fleet byte-identical to the in-process pool"

@@ -35,7 +35,6 @@ func runSweep(args []string) {
 	out := fs.String("out", "sweep-out", "campaign directory (cache/, journal.jsonl, aggregate.json/csv)")
 	resume := fs.Bool("resume", false, "resume a killed campaign from its journal")
 	retries := fs.Int("retries", 3, "max attempts per run on simulation errors")
-	bench := fs.String("bench", "BENCH_sweep.json", "perf-trajectory file to append to ('' disables)")
 	quiet := fs.Bool("quiet", false, "suppress per-run progress lines")
 	noTables := fs.Bool("no-tables", false, "skip printing aggregate tables to stdout")
 	prof := cli.AddProfileFlags(fs)
@@ -92,7 +91,6 @@ func runSweep(args []string) {
 		Resume:      *resume,
 		MaxAttempts: *retries,
 	}
-	label := "gpureach sweep"
 	remotes := splitList(*remote)
 	if *workers > 0 || len(remotes) > 0 {
 		if *workers < 0 {
@@ -107,7 +105,6 @@ func runSweep(args []string) {
 		// parallelism, the in-process pool just keeps them all fed.
 		opts.RunFn = sup.Run
 		opts.Procs = sup.Slots()
-		label = fmt.Sprintf("gpureach sweep -workers %d", sup.Slots())
 	}
 	if !*quiet {
 		opts.Progress = func(p sweep.Progress) {
@@ -149,10 +146,10 @@ func runSweep(args []string) {
 	if err != nil {
 		fatalf("aggregate: %v", err)
 	}
-	if err := os.WriteFile(filepath.Join(*out, "aggregate.json"), jsonData, 0o644); err != nil {
+	if err := sweep.WriteFileAtomic(filepath.Join(*out, "aggregate.json"), jsonData); err != nil {
 		fatalf("%v", err)
 	}
-	if err := os.WriteFile(filepath.Join(*out, "aggregate.csv"), csvData, 0o644); err != nil {
+	if err := sweep.WriteFileAtomic(filepath.Join(*out, "aggregate.csv"), csvData); err != nil {
 		fatalf("%v", err)
 	}
 
@@ -173,16 +170,10 @@ func runSweep(args []string) {
 		if err != nil {
 			fatalf("robustness: %v", err)
 		}
-		if err := os.WriteFile(filepath.Join(*out, "robustness.json"), rj, 0o644); err != nil {
+		if err := sweep.WriteFileAtomic(filepath.Join(*out, "robustness.json"), rj); err != nil {
 			fatalf("%v", err)
 		}
-		if err := os.WriteFile(filepath.Join(*out, "robustness.csv"), rc, 0o644); err != nil {
-			fatalf("%v", err)
-		}
-	}
-	if *bench != "" {
-		entry := sweep.BenchEntryFor(campaign, agg, opts.Procs, label)
-		if err := sweep.AppendBench(*bench, entry); err != nil {
+		if err := sweep.WriteFileAtomic(filepath.Join(*out, "robustness.csv"), rc); err != nil {
 			fatalf("%v", err)
 		}
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"gpureach/internal/cache"
 	"gpureach/internal/check"
@@ -51,6 +52,10 @@ type System struct {
 	SharedSamples  []float64
 	PeakTxResident int
 	LDSUtilBytes   int
+
+	// Reused buffers for the sharing sample: one CU's distinct keys,
+	// and the concatenation of every CU's distinct keys.
+	cuKeys, allKeys []tlb.Key
 }
 
 // NewSystem builds the machine described by cfg.
@@ -132,6 +137,11 @@ func NewSystem(cfg Config) *System {
 		s.CUs = append(s.CUs, gpu.NewCU(eng, i, cfg.GPU, ldsUnit, ic, s.L2C, l1d, xlat))
 	}
 
+	// Results reports the idle-gap distribution (Figs 4b/5b) of the
+	// first I-cache and LDS port only; no other port records.
+	s.ICaches[0].Port().RecordIdle()
+	s.LDSs[0].Port().RecordIdle()
+
 	s.GPU = gpu.NewSystem(eng, cfg.GPU, s.CUs, s.Space, s.Frames)
 	s.GPU.OnKernelBoundary = func(next *gpu.Kernel) { s.sample(next.Name) }
 	s.GPU.Guard = cfg.Watchdog
@@ -147,26 +157,39 @@ func (s *System) sample(nextKernel string) {
 		s.ICUtilSamples = append(s.ICUtilSamples, ic.KernelBoundary(nextKernel))
 	}
 
-	// Cross-CU sharing over the per-CU structures (L1 TLB + LDS).
-	counts := make(map[tlb.Key]int)
+	// Cross-CU sharing over the per-CU structures (L1 TLB + LDS): a
+	// key is shared when more than one CU holds it. Each CU contributes
+	// its distinct keys once, so after sorting the concatenation a run
+	// of equal keys has one element per holding CU.
+	all := s.allKeys[:0]
 	for i := range s.CUs {
-		seen := make(map[tlb.Key]bool)
-		s.Xlats[i].L1().ForEach(func(e tlb.Entry) { seen[e.Key()] = true })
+		cu := s.cuKeys[:0]
+		collect := func(e tlb.Entry) { cu = append(cu, e.Key()) }
+		s.Xlats[i].L1().ForEach(collect)
 		if s.Cfg.Scheme.UseLDS {
-			s.LDSs[i].ForEachTx(func(e tlb.Entry) { seen[e.Key()] = true })
+			s.LDSs[i].ForEachTx(collect)
 		}
-		for k := range seen {
-			counts[k]++
-		}
+		slices.Sort(cu)
+		cu = slices.Compact(cu)
+		all = append(all, cu...)
+		s.cuKeys = cu
 	}
-	if len(counts) > 0 {
-		shared := 0
-		for _, c := range counts {
-			if c > 1 {
-				shared++
-			}
+	slices.Sort(all)
+	distinct, shared := 0, 0
+	for i := 0; i < len(all); {
+		j := i + 1
+		for j < len(all) && all[j] == all[i] {
+			j++
 		}
-		s.SharedSamples = append(s.SharedSamples, float64(shared)/float64(len(counts)))
+		distinct++
+		if j-i > 1 {
+			shared++
+		}
+		i = j
+	}
+	s.allKeys = all
+	if distinct > 0 {
+		s.SharedSamples = append(s.SharedSamples, float64(shared)/float64(distinct))
 	}
 
 	resident := 0

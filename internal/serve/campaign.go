@@ -217,7 +217,7 @@ func (c *Campaign) buildArtifacts() error {
 		if data == nil {
 			continue
 		}
-		if err := os.WriteFile(filepath.Join(c.Dir, name), data, 0o644); err != nil {
+		if err := sweep.WriteFileAtomic(filepath.Join(c.Dir, name), data); err != nil {
 			return fmt.Errorf("serve: %w", err)
 		}
 	}

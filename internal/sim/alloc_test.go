@@ -5,10 +5,11 @@ import (
 )
 
 // warmEngine grows the engine's internal storage so steady-state
-// measurements see no growth allocations: every one of the calWindow
-// bucket slices gets burst-depth capacity (bucket capacity survives
-// drains, but each index only grows when events actually land on it),
-// and the overflow heap's backing array is grown once.
+// measurements see no growth allocations: a burst of 16 events on each
+// of 2*calWindow consecutive cycles grows the calendar's slot arena to
+// well past any test's peak of pending near events (released slots are
+// reused through the free list, so the arena never shrinks), and the
+// events beyond the window grow the overflow heap's backing array.
 func warmEngine(e *Engine, h Handler) {
 	const depth = 16
 	for d := 0; d < depth; d++ {
@@ -44,6 +45,22 @@ func TestEngineSteadyStateZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("engine steady state allocated %.1f times per run; the contract is 0", allocs)
+	}
+
+	// A port that does not record idle gaps keeps no samples, however
+	// many idle cycles its grants straddle. One long run per
+	// measurement, because AllocsPerRun's integer average would hide a
+	// sample slice's amortized growth.
+	port := NewPort(e, 2)
+	next := e.Now()
+	allocs = testing.AllocsPerRun(1, func() {
+		for i := 0; i < 4096; i++ {
+			next += 5
+			port.AcquireAt(next)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("idle grants on a non-recording port allocated %.1f times per run; the contract is 0", allocs)
 	}
 }
 

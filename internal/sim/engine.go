@@ -32,10 +32,13 @@ func runClosure(ctx any) { ctx.(func())() }
 // The near-future calendar: a ring of calWindow per-cycle buckets.
 // Events within calWindow cycles of now append to their cycle's bucket
 // (O(1), no ordering work at all); farther events go to the binary
-// heap. calWindow must be a power of two and comfortably cover the
-// model's common latencies (cache hits, TLB probes, DRAM bursts — all
-// well under 1024 cycles) so the heap only sees rare long-range events
-// (kernel launches, oversubscribed port grants).
+// heap. Every bucket is a FIFO list threaded through one shared slot
+// arena, so the calendar's storage is sized by the peak number of
+// pending near events, not by the ring width. calWindow must be a
+// power of two and comfortably cover the model's common latencies
+// (cache hits, TLB probes, DRAM bursts — all well under 1024 cycles) so
+// the heap only sees rare long-range events (kernel launches,
+// oversubscribed port grants).
 const (
 	calWindow = 16384
 	calWords  = calWindow / 64
@@ -46,11 +49,21 @@ const (
 	CalendarWindow = calWindow
 )
 
-// calSlot is one calendar event. Bucket order is append order; see
-// Step for why that alone reproduces the (at, seq) total order.
+// calSlot is one calendar event in the slot arena. next links it to
+// the following slot of its bucket (or of the free list); 0 ends a
+// list, which is why arena index 0 is a never-used sentinel. Bucket
+// order is append order; see Step for why that alone reproduces the
+// (at, seq) total order.
 type calSlot struct {
-	h   Handler
-	ctx any
+	h    Handler
+	ctx  any
+	next int32
+}
+
+// calBucket is one cycle's FIFO list in the slot arena: events append
+// at tail and dispatch from head. A zero head means the bucket is empty.
+type calBucket struct {
+	head, tail int32
 }
 
 // heapEvent is one far-future event. seq breaks same-cycle ties so that
@@ -90,14 +103,16 @@ type Engine struct {
 	seq    uint64
 	events uint64
 
-	// buckets[t % calWindow] holds the near-future events for cycle t;
-	// bits tracks non-empty buckets for O(words) next-event scans;
-	// nearCount is the number of undispatched calendar events; curHead
-	// is the consumed prefix of the current cycle's bucket.
-	buckets   [calWindow][]calSlot
+	// buckets[t % calWindow] lists the near-future events for cycle t
+	// as slots of the shared arena; free heads the LIFO list of
+	// released slots; bits tracks non-empty buckets for O(words)
+	// next-event scans; nearCount is the number of undispatched
+	// calendar events.
+	buckets   [calWindow]calBucket
+	slots     []calSlot
+	free      int32
 	bits      [calWords]uint64
 	nearCount int
-	curHead   int
 
 	heap []heapEvent
 
@@ -108,7 +123,7 @@ type Engine struct {
 
 // NewEngine returns an engine at cycle zero with an empty queue.
 func NewEngine() *Engine {
-	return &Engine{}
+	return &Engine{slots: make([]calSlot, 1)} // slots[0]: the nil index
 }
 
 // Now returns the current simulation time.
@@ -128,9 +143,23 @@ func (e *Engine) AtEvent(t Time, h Handler, ctx any) {
 			t, e.now, e.events))
 	}
 	if t-e.now < calWindow {
+		n := e.free
+		if n != 0 {
+			e.free = e.slots[n].next
+			e.slots[n] = calSlot{h: h, ctx: ctx}
+		} else {
+			n = int32(len(e.slots))
+			e.slots = append(e.slots, calSlot{h: h, ctx: ctx})
+		}
 		i := int(t % calWindow)
-		e.buckets[i] = append(e.buckets[i], calSlot{h: h, ctx: ctx})
-		e.bits[i>>6] |= 1 << uint(i&63)
+		b := &e.buckets[i]
+		if b.tail == 0 {
+			b.head = n
+			e.bits[i>>6] |= 1 << uint(i&63)
+		} else {
+			e.slots[b.tail].next = n
+		}
+		b.tail = n
 		e.nearCount++
 		return
 	}
@@ -152,23 +181,6 @@ func (e *Engine) At(t Time, fn func()) {
 // After schedules fn to run d cycles from now.
 func (e *Engine) After(d Time, fn func()) { e.AtEvent(e.now+d, runClosure, fn) }
 
-// syncBucket resets the current cycle's bucket once fully drained:
-// truncate for reuse (the backing array is the free list) and clear its
-// occupancy bit. Must run before the clock moves past the cycle —
-// bucket index t%calWindow aliases cycle t+calWindow.
-func (e *Engine) syncBucket() {
-	if e.curHead == 0 {
-		return
-	}
-	ci := int(e.now % calWindow)
-	if e.curHead < len(e.buckets[ci]) {
-		return
-	}
-	e.buckets[ci] = e.buckets[ci][:0]
-	e.curHead = 0
-	e.bits[ci>>6] &^= 1 << uint(ci&63)
-}
-
 // Step runs the next event, advancing the clock to its time.
 // It reports whether an event was run.
 func (e *Engine) Step() bool {
@@ -183,16 +195,27 @@ func (e *Engine) Step() bool {
 			return true
 		}
 		ci := int(e.now % calWindow)
-		if b := e.buckets[ci]; e.curHead < len(b) {
-			s := b[e.curHead]
-			b[e.curHead] = calSlot{} // release refs eagerly
-			e.curHead++
+		b := &e.buckets[ci]
+		if n := b.head; n != 0 {
+			// Unlink the head slot and free it before dispatch: the
+			// handler may schedule into this very bucket and reuse it.
+			s := &e.slots[n]
+			h, ctx := s.h, s.ctx
+			b.head = s.next
+			if b.head == 0 {
+				// Drained: clear the occupancy bit before the clock can
+				// move on, because index t%calWindow aliases cycle
+				// t+calWindow.
+				b.tail = 0
+				e.bits[ci>>6] &^= 1 << uint(ci&63)
+			}
+			*s = calSlot{next: e.free} // release refs eagerly
+			e.free = n
 			e.nearCount--
 			e.events++
-			s.h(s.ctx)
+			h(ctx)
 			return true
 		}
-		e.syncBucket()
 		t, ok := e.nextEventTime()
 		if !ok {
 			return false
@@ -241,12 +264,9 @@ func (e *Engine) nextCalTime() (Time, bool) {
 }
 
 // peekTime returns the time of the next pending event without running
-// it. It may perform internal bucket bookkeeping but never reorders or
-// drops events.
+// it.
 func (e *Engine) peekTime() (Time, bool) {
-	e.syncBucket()
-	ci := int(e.now % calWindow)
-	if e.curHead < len(e.buckets[ci]) {
+	if e.buckets[e.now%calWindow].head != 0 {
 		return e.now, true
 	}
 	if len(e.heap) > 0 && e.heap[0].at == e.now {

@@ -98,6 +98,7 @@ func TestPortSerializes(t *testing.T) {
 func TestPortIdleGaps(t *testing.T) {
 	e := NewEngine()
 	p := NewPort(e, 1)
+	p.RecordIdle()
 	p.Acquire() // cycle 0
 	e.At(10, func() { p.Acquire() })
 	e.At(25, func() { p.Acquire() })
@@ -155,6 +156,7 @@ func TestPortRelaxClearsBacklog(t *testing.T) {
 func TestPortRelaxIdleAndEarly(t *testing.T) {
 	e := NewEngine()
 	p := NewPort(e, 4)
+	p.RecordIdle()
 	p.Relax() // idle port at cycle 0: nothing to clear
 	if g := p.Acquire(); g != 0 {
 		t.Fatalf("grant after idle relax = %d, want 0", g)

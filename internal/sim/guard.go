@@ -66,12 +66,8 @@ func (e *Engine) Snapshot(maxNext int) QueueSnapshot {
 	pending := e.Pending()
 	times := make([]Time, 0, pending)
 	for idx := range e.buckets {
-		n := len(e.buckets[idx])
 		t := e.calCycle(idx)
-		if t == e.now {
-			n -= e.curHead // skip the already-dispatched prefix
-		}
-		for i := 0; i < n; i++ {
+		for n := e.buckets[idx].head; n != 0; n = e.slots[n].next {
 			times = append(times, t)
 		}
 	}

@@ -3,9 +3,11 @@ package sim
 // Port models a pipelined hardware port: one new operation may begin
 // every Interval cycles. Acquire returns the cycle at which the requested
 // operation is granted the port; the caller adds its own access latency
-// on top. Ports also record the idle-gap distribution between grants,
-// which is exactly the measurement behind the paper's Figures 4b and 5b
-// (idle cycles at each LDS / I-cache port).
+// on top. A port can also record the idle-gap distribution between
+// grants (RecordIdle), which is exactly the measurement behind the
+// paper's Figures 4b and 5b (idle cycles at an LDS / I-cache port).
+// Recording is off by default: only the ports whose distribution is
+// reported pay for the samples.
 type Port struct {
 	eng *Engine
 	// Interval is the initiation interval in cycles (1 = fully pipelined,
@@ -15,7 +17,7 @@ type Port struct {
 	nextFree  Time
 	lastGrant Time
 	grants    uint64
-	idle      *Gaps
+	idle      *Gaps // nil unless RecordIdle was called
 }
 
 // NewPort creates a port on engine eng with the given initiation
@@ -25,7 +27,7 @@ func NewPort(eng *Engine, interval Time) *Port {
 	if interval == 0 {
 		interval = 1
 	}
-	p := &Port{eng: eng, Interval: interval, idle: NewGaps()}
+	p := &Port{eng: eng, Interval: interval}
 	eng.ports = append(eng.ports, p)
 	return p
 }
@@ -33,20 +35,7 @@ func NewPort(eng *Engine, interval Time) *Port {
 // Acquire reserves the next port slot at or after the current cycle and
 // returns the grant time. Consecutive acquisitions are serialized
 // Interval cycles apart.
-func (p *Port) Acquire() Time {
-	now := p.eng.Now()
-	grant := now
-	if p.nextFree > grant {
-		grant = p.nextFree
-	}
-	p.nextFree = grant + p.Interval
-	if p.grants > 0 && grant > p.lastGrant {
-		p.idle.Record(uint64(grant - p.lastGrant - p.Interval + 1))
-	}
-	p.lastGrant = grant
-	p.grants++
-	return grant
-}
+func (p *Port) Acquire() Time { return p.AcquireAt(p.eng.Now()) }
 
 // AcquireAt reserves a slot at or after time t (which must not be in the
 // past) and returns the grant time. This lets a component chain port
@@ -61,7 +50,7 @@ func (p *Port) AcquireAt(t Time) Time {
 		grant = p.nextFree
 	}
 	p.nextFree = grant + p.Interval
-	if p.grants > 0 && grant > p.lastGrant {
+	if p.idle != nil && p.grants > 0 && grant > p.lastGrant {
 		p.idle.Record(uint64(grant - p.lastGrant - p.Interval + 1))
 	}
 	p.lastGrant = grant
@@ -115,8 +104,17 @@ func (e *Engine) RelaxPorts() {
 // Grants returns the number of operations the port has served.
 func (p *Port) Grants() uint64 { return p.grants }
 
+// RecordIdle turns on idle-gap recording for this port. Grants made
+// before the call are not reflected in the distribution.
+func (p *Port) RecordIdle() {
+	if p.idle == nil {
+		p.idle = NewGaps()
+	}
+}
+
 // IdleGaps returns the recorded distribution of idle cycles between
-// consecutive grants.
+// consecutive grants, or nil for a port that does not record (see
+// RecordIdle).
 func (p *Port) IdleGaps() *Gaps { return p.idle }
 
 // Utilization returns grants*Interval / elapsed, the fraction of cycles

@@ -50,8 +50,8 @@ func (c *Cache) Get(digest string) (Record, bool) {
 }
 
 // Put stores a successful record under its digest, atomically
-// (write-temp-then-rename) so concurrent workers and killed campaigns
-// can never leave a half-written entry under a valid key. Failed
+// (WriteFileAtomic) so concurrent workers and killed campaigns can
+// never leave a half-written entry under a valid key. Failed
 // records are rejected: the cache only ever holds results.
 func (c *Cache) Put(rec Record) error {
 	if rec.Failed() {
@@ -68,24 +68,37 @@ func (c *Cache) Put(rec Record) error {
 	if err != nil {
 		return fmt.Errorf("sweep cache: %w", err)
 	}
-	tmp, err := os.CreateTemp(c.dir, "put-*.tmp")
-	if err != nil {
-		return fmt.Errorf("sweep cache: %w", err)
-	}
-	if _, err := tmp.Write(append(data, '\n')); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("sweep cache: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("sweep cache: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), c.path(rec.Digest)); err != nil {
-		os.Remove(tmp.Name())
+	if err := WriteFileAtomic(c.path(rec.Digest), append(data, '\n')); err != nil {
 		return fmt.Errorf("sweep cache: %w", err)
 	}
 	return nil
+}
+
+// WriteFileAtomic writes data to path (mode 0644) by writing a
+// temporary file in the same directory and renaming it over path. A
+// process killed mid-write leaves the old content at path (plus, at
+// worst, a stray temporary), never a torn mix; on an error return the
+// temporary is removed. It does not fsync: like the journal, it guards
+// against the process dying, not the machine losing power.
+func WriteFileAtomic(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+"-*.tmp")
+	if err != nil {
+		return err
+	}
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Chmod(0o644)
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
 }
 
 // Len counts the stored results.

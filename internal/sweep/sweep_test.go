@@ -471,20 +471,40 @@ func TestAggregateMatchesExperimentHarness(t *testing.T) {
 	}
 }
 
-func TestBenchTrajectoryAppends(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_sweep.json")
-	for i := 0; i < 3; i++ {
-		e := BenchEntry{TimestampUTC: fmt.Sprintf("t%d", i), Runs: i}
-		if err := AppendBench(path, e); err != nil {
+// TestWriteFileAtomic: the write-temp-and-rename helper replaces
+// existing content whole and leaves no temporary behind, and when the
+// rename fails the old content at the path is untouched.
+func TestWriteFileAtomic(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "aggregate.json")
+	for _, content := range []string{"old content, longer than the new\n", "new\n"} {
+		if err := WriteFileAtomic(path, []byte(content)); err != nil {
 			t.Fatal(err)
 		}
+		if got, err := os.ReadFile(path); err != nil || string(got) != content {
+			t.Fatalf("read back %q (err %v), want %q", got, err, content)
+		}
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
+
+	// Renaming a file over a non-empty directory fails.
+	blocked := filepath.Join(dir, "blocked")
+	kept := filepath.Join(blocked, "kept.json")
+	if err := os.MkdirAll(blocked, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if got := bytes.Count(data, []byte("timestamp_utc")); got != 3 {
-		t.Fatalf("trajectory has %d entries, want 3", got)
+	if err := os.WriteFile(kept, []byte("kept\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFileAtomic(blocked, []byte("new\n")); err == nil {
+		t.Fatal("rename over a non-empty directory succeeded")
+	}
+	if got, err := os.ReadFile(kept); err != nil || string(got) != "kept\n" {
+		t.Fatalf("old content after failed rename: %q (err %v)", got, err)
+	}
+
+	tmps, err := filepath.Glob(filepath.Join(dir, "*.tmp"))
+	if err != nil || len(tmps) != 0 {
+		t.Fatalf("temporaries left behind: %v (err %v)", tmps, err)
 	}
 }
 

@@ -80,7 +80,7 @@ done
 # for byte.
 curl -sf "$BASE/campaigns/$ID1/aggregate" >"$WORK/served-aggregate.json"
 "$WORK/gpureach" sweep -apps ATAX,GUPS -schemes ic+lds -scale 0.05 \
-    -out "$WORK/cli" -bench '' -quiet -no-tables >/dev/null
+    -out "$WORK/cli" -quiet -no-tables >/dev/null
 cmp "$WORK/served-aggregate.json" "$WORK/cli/aggregate.json" \
     || fail "served aggregate differs from CLI sweep aggregate"
 echo "serve-smoke: served aggregate byte-identical to CLI sweep"
