@@ -4,12 +4,11 @@
 #   make tier2        tier1 plus static analysis and a race-detector sweep
 #   make lint         go vet + gofmt + the repo's own analyzers (cmd/gpureachvet,
 #                     with -stale-allows so waivers that suppress nothing fail too)
-#   make bench        core engine benchmarks: internal/sim microbenches and the
-#                     single-run benchmark (repeated-trial perf measurements
-#                     with host fingerprints: bash perfbench/run.sh)
+#   make bench        internal/sim event-engine microbenchmarks (repeated-trial
+#                     perf measurements with host fingerprints:
+#                     bash perfbench/run.sh)
 #   make bench-smoke  one-iteration pass over every benchmark (CI keeps them
 #                     compiling and running; no stable numbers expected)
-#   make bench-paper  regenerate the paper's figures/tables (slow; see bench_test.go)
 #   make exp-smoke    every paper experiment at scale 0.05 on MVT,SRAD through
 #                     `gpureach exp`, asserting stdout is byte-identical at
 #                     GOMAXPROCS=1 vs 2 and to the committed golden
@@ -36,7 +35,7 @@ GO ?= go
 
 .DEFAULT_GOAL := tier1
 
-.PHONY: tier1 tier2 lint bench bench-smoke bench-paper exp-smoke sweep-smoke chaos-smoke sample-smoke serve-smoke shard-smoke coverage loc
+.PHONY: tier1 tier2 lint bench bench-smoke exp-smoke sweep-smoke chaos-smoke sample-smoke serve-smoke shard-smoke coverage loc
 
 tier1:
 	$(GO) build ./...
@@ -54,14 +53,9 @@ lint:
 
 bench:
 	$(GO) test -bench=. -benchmem -run NONE ./internal/sim/
-	$(GO) test -bench BenchmarkSingleRun -benchmem -run NONE .
 
 bench-smoke:
 	$(GO) test -bench=. -benchtime 1x -benchmem -run NONE ./internal/sim/
-	$(GO) test -bench BenchmarkSingleRun -benchtime 1x -benchmem -run NONE .
-
-bench-paper:
-	$(GO) test -bench=. -benchmem
 
 exp-smoke:
 	rm -rf .exp-smoke

@@ -4,7 +4,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 
@@ -132,49 +131,16 @@ func runSweep(args []string) {
 		fatalf("sweep failed: %v", err)
 	}
 
-	agg := campaign.Aggregate()
+	art, err := campaign.WriteArtifacts(*out)
+	if err != nil {
+		fatalf("%v", err)
+	}
 	if !*noTables {
-		for _, t := range agg.Tables() {
+		for _, t := range art.Aggregate.Tables() {
 			t.Render(os.Stdout)
 		}
-	}
-	jsonData, err := agg.JSON()
-	if err != nil {
-		fatalf("aggregate: %v", err)
-	}
-	csvData, err := agg.CSV()
-	if err != nil {
-		fatalf("aggregate: %v", err)
-	}
-	if err := sweep.WriteFileAtomic(filepath.Join(*out, "aggregate.json"), jsonData); err != nil {
-		fatalf("%v", err)
-	}
-	if err := sweep.WriteFileAtomic(filepath.Join(*out, "aggregate.csv"), csvData); err != nil {
-		fatalf("%v", err)
-	}
-
-	// The robustness scorecard rides along whenever the campaign has
-	// adversarial cells (a non-zero chaos rate).
-	robust := campaign.Robustness()
-	if len(robust.Rows) > 0 {
-		if !*noTables {
-			for _, t := range robust.Tables() {
-				t.Render(os.Stdout)
-			}
-		}
-		rj, err := robust.JSON()
-		if err != nil {
-			fatalf("robustness: %v", err)
-		}
-		rc, err := robust.CSV()
-		if err != nil {
-			fatalf("robustness: %v", err)
-		}
-		if err := sweep.WriteFileAtomic(filepath.Join(*out, "robustness.json"), rj); err != nil {
-			fatalf("%v", err)
-		}
-		if err := sweep.WriteFileAtomic(filepath.Join(*out, "robustness.csv"), rc); err != nil {
-			fatalf("%v", err)
+		for _, t := range art.Robustness.Tables() {
+			t.Render(os.Stdout)
 		}
 	}
 
@@ -182,7 +148,7 @@ func runSweep(args []string) {
 	fmt.Printf("sweep: %d runs (%d executed, %d cache hits, %d journal hits, %d retries, %d failed) in %.1fs\n",
 		st.Total, st.Executed, st.CacheHits, st.JournalHits, st.Retries, st.Failed, st.WallMS/1000)
 	artifacts := "aggregate.json, aggregate.csv, journal.jsonl, cache/"
-	if len(robust.Rows) > 0 {
+	if art.RobJSON != nil {
 		artifacts = "aggregate.json/csv, robustness.json/csv, journal.jsonl, cache/"
 	}
 	fmt.Printf("sweep: artifacts in %s (%s)\n", *out, artifacts)

@@ -39,3 +39,17 @@ func TestExpFailedRunExitsOne(t *testing.T) {
 		t.Errorf("independent experiment F4 was not printed:\n%s", stdout.String())
 	}
 }
+
+// TestExpRepeatedAppIsUsageError: a repeated app would weigh twice in
+// every geomean, so `gpureach exp` rejects it before running anything.
+func TestExpRepeatedAppIsUsageError(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	code := runExp([]string{"-exp", "F13b", "-scale", "0.05", "-apps", "GUPS,GUPS,SRAD"},
+		&stdout, &stderr, sweep.EngineOptions{RunFn: stubRun})
+	if code != 2 || !strings.Contains(stderr.String(), "GUPS named more than once") {
+		t.Fatalf("exit code %d, stderr %q; want 2 naming the repeated app", code, stderr.String())
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("printed tables for a rejected app list:\n%s", stdout.String())
+	}
+}

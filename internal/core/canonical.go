@@ -107,17 +107,23 @@ func PageSizeName(ps vm.PageSize) string {
 	return fmt.Sprintf("%dB", uint64(ps))
 }
 
-// ResolveApps maps application names to workloads. Unknown names do
-// not panic: they are reported in one error that lists the valid names,
-// so CLIs can surface it as a clean message. The returned slice holds
-// the workloads that did resolve (all ten for an empty name list).
+// ResolveApps maps application names to workloads. Unknown and
+// repeated names do not panic: they are reported in an error that
+// lists the valid names or names the repeat, so CLIs can surface it as
+// a clean message. The returned slice holds the workloads that did
+// resolve (all ten for an empty name list).
 func ResolveApps(names []string) ([]workloads.Workload, error) {
 	if len(names) == 0 {
 		return workloads.All(), nil
 	}
 	var out []workloads.Workload
 	var unknown []string
+	seen := map[string]bool{}
 	for _, name := range names {
+		if seen[name] {
+			return out, fmt.Errorf("workload %s named more than once", name)
+		}
+		seen[name] = true
 		w, ok := workloads.ByName(name)
 		if !ok {
 			unknown = append(unknown, name)

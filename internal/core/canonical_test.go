@@ -59,6 +59,10 @@ func TestResolveAppsErrors(t *testing.T) {
 	if len(ws) != 1 || ws[0].Name != "ATAX" {
 		t.Fatalf("resolvable subset = %v, want [ATAX]", ws)
 	}
+	// A repeated name would weigh its app twice in every geomean.
+	if _, err = ResolveApps([]string{"GUPS", "GUPS", "SRAD"}); err == nil || !strings.Contains(err.Error(), "GUPS named more than once") {
+		t.Fatalf("repeated app: err %v, want it named", err)
+	}
 }
 
 func TestSchemeAndPageSizeRegistries(t *testing.T) {

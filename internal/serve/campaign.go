@@ -68,11 +68,10 @@ type Campaign struct {
 	errMsg  string
 	infra   error
 
-	// Artifact bytes, produced exactly as the CLI sweep produces its
-	// files (and also written into Dir): the HTTP aggregate IS the
-	// CLI aggregate.
-	aggJSON, aggCSV []byte
-	robJSON, robCSV []byte
+	// art holds the artifact bytes, produced exactly as the CLI sweep
+	// produces its files (and also written into Dir): the HTTP
+	// aggregate IS the CLI aggregate. Nil until the campaign is done.
+	art *sweep.Artifacts
 
 	done chan struct{}
 }
@@ -184,46 +183,14 @@ func (c *Campaign) finalize(interrupted bool, infraErr error) {
 }
 
 // buildArtifacts aggregates the finished campaign exactly as the CLI
-// sweep does — same generator, same bytes — and writes the files into
-// the campaign directory. The robustness scorecard rides along
-// whenever the spec has adversarial cells.
+// sweep does — same writer, same bytes — into the campaign directory.
 func (c *Campaign) buildArtifacts() error {
-	campaign := &sweep.Campaign{Spec: c.Spec, Records: c.records}
-	agg := campaign.Aggregate()
-	aggJSON, err := agg.JSON()
+	art, err := (&sweep.Campaign{Spec: c.Spec, Records: c.records}).WriteArtifacts(c.Dir)
 	if err != nil {
-		return fmt.Errorf("serve: aggregate: %w", err)
-	}
-	aggCSV, err := agg.CSV()
-	if err != nil {
-		return fmt.Errorf("serve: aggregate: %w", err)
-	}
-	var robJSON, robCSV []byte
-	robust := campaign.Robustness()
-	if len(robust.Rows) > 0 {
-		if robJSON, err = robust.JSON(); err != nil {
-			return fmt.Errorf("serve: robustness: %w", err)
-		}
-		if robCSV, err = robust.CSV(); err != nil {
-			return fmt.Errorf("serve: robustness: %w", err)
-		}
-	}
-	files := map[string][]byte{
-		"aggregate.json": aggJSON, "aggregate.csv": aggCSV,
-		"robustness.json": robJSON, "robustness.csv": robCSV,
-	}
-	for _, name := range []string{"aggregate.json", "aggregate.csv", "robustness.json", "robustness.csv"} {
-		data := files[name]
-		if data == nil {
-			continue
-		}
-		if err := sweep.WriteFileAtomic(filepath.Join(c.Dir, name), data); err != nil {
-			return fmt.Errorf("serve: %w", err)
-		}
+		return fmt.Errorf("serve: %w", err)
 	}
 	c.mu.Lock()
-	c.aggJSON, c.aggCSV = aggJSON, aggCSV
-	c.robJSON, c.robCSV = robJSON, robCSV
+	c.art = art
 	c.mu.Unlock()
 	return nil
 }
@@ -258,7 +225,10 @@ func (c *Campaign) Done() <-chan struct{} { return c.done }
 func (c *Campaign) Aggregate() (jsonData, csvData []byte, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.aggJSON, c.aggCSV, c.aggJSON != nil
+	if c.art == nil {
+		return nil, nil, false
+	}
+	return c.art.AggJSON, c.art.AggCSV, true
 }
 
 // Robustness returns the robustness artifact bytes of a done campaign
@@ -266,7 +236,10 @@ func (c *Campaign) Aggregate() (jsonData, csvData []byte, ok bool) {
 func (c *Campaign) Robustness() (jsonData, csvData []byte, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.robJSON, c.robCSV, c.robJSON != nil
+	if c.art == nil {
+		return nil, nil, false
+	}
+	return c.art.RobJSON, c.art.RobCSV, c.art.RobJSON != nil
 }
 
 // Records returns the completed records in expansion order (indexes

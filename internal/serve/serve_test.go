@@ -663,6 +663,8 @@ func TestServeHTTPSurface(t *testing.T) {
 		{`{"apps":["NOSUCHAPP"]}`, "NOSUCHAPP"},
 		{`{"apps":["ATAX"],"scale":-1}`, "negative scale"},
 		{`{"apps":["ATAX"],"l2tlb":[24]}`, "positive multiple of 16"},
+		{`{"apps":["GUPS","GUPS","SRAD"]}`, "GUPS named more than once"},
+		{`{"apps":["ATAX"],"pagesizes":["4K","4K"]}`, "page size 4K named more than once"},
 	} {
 		resp, err = http.Post(ts.URL+"/campaigns", "application/json", strings.NewReader(c.body))
 		if err != nil {

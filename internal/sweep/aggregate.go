@@ -5,6 +5,7 @@ import (
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
+	"path/filepath"
 	"strconv"
 
 	"gpureach/internal/metrics"
@@ -61,113 +62,143 @@ type AppRow struct {
 	Digests        map[string]string  `json:"digests"`
 }
 
-type pointKey struct {
-	scale    float64
-	l2tlb    int
-	pageSize string
-	rate     float64
-	seed     uint64
-}
-
 // Aggregate reduces the campaign's records. Points appear in spec
 // order (L2-TLB × page size × chaos cell), app-axis rows (solo
 // workloads, then tenancy mixes) and schemes in spec order within each
 // point.
 func (c *Campaign) Aggregate() *Aggregate {
-	byKey := map[pointKey]map[string]map[string]Record{} // point → app → scheme
+	recs := make(map[Run]Record, len(c.Records))
 	for _, rec := range c.Records {
-		if rec.Digest == "" || rec.Failed() {
-			continue
+		if rec.Digest != "" && !rec.Failed() {
+			recs[rec.Run] = rec
 		}
-		k := pointKey{rec.Run.Scale, rec.Run.L2TLB, rec.Run.PageSize, rec.Run.ChaosRate, rec.Run.ChaosSeed}
-		if byKey[k] == nil {
-			byKey[k] = map[string]map[string]Record{}
-		}
-		if byKey[k][rec.Run.App] == nil {
-			byKey[k][rec.Run.App] = map[string]Record{}
-		}
-		byKey[k][rec.Run.App][rec.Run.Scheme] = rec
 	}
-
 	agg := &Aggregate{}
-	baseName := c.Spec.Schemes[0] // Normalize guarantees "baseline" first
+	units := c.Spec.units()
 	for _, l2 := range c.Spec.L2TLB {
 		for _, ps := range c.Spec.PageSizes {
 			for _, cell := range c.Spec.chaosCells() {
-				k := pointKey{c.Spec.Scale, l2, ps, cell.rate, cell.seed}
-				apps := byKey[k]
 				pt := Point{
 					Scale: c.Spec.Scale, L2TLB: l2, PageSize: ps,
-					ChaosRate:                cell.rate,
-					ChaosSeed:                cell.seed,
-					Schemes:                  append([]string{}, c.Spec.Schemes...),
-					GeomeanSpeedup:           map[string]float64{},
-					GeomeanSpeedupHighMedium: map[string]float64{},
-					MeanNormWalks:            map[string]float64{},
+					ChaosRate: cell.rate, ChaosSeed: cell.seed,
+					Schemes: append([]string{}, c.Spec.Schemes...),
 				}
-				speedups := map[string][]float64{}
-				speedupsHM := map[string][]float64{}
-				walks := map[string][]float64{}
-				for _, u := range c.Spec.units() {
-					app := u.app
-					schemes := apps[app]
-					base, ok := schemes[baseName]
-					if !ok {
-						pt.Missing = append(pt.Missing, app+"/"+baseName)
-						continue
-					}
-					w, solo := workloads.ByName(app)
-					cat := string(w.Category)
-					if u.tenants != "" {
-						cat = "multi"
-					}
-					row := AppRow{
-						App: app, Category: cat,
-						BaselineCycles: uint64(base.Results.Cycles),
-						BaselineWalks:  base.Results.PageWalks,
-						Speedup:        map[string]float64{},
-						NormWalks:      map[string]float64{},
-						Digests:        map[string]string{baseName: base.Digest},
-					}
-					for _, scheme := range c.Spec.Schemes {
-						if scheme == baseName {
-							continue
-						}
-						rec, ok := schemes[scheme]
-						if !ok {
-							pt.Missing = append(pt.Missing, app+"/"+scheme)
-							continue
-						}
-						sp := rec.Results.Speedup(base.Results)
-						row.Speedup[scheme] = sp
-						row.Digests[scheme] = rec.Digest
-						speedups[scheme] = append(speedups[scheme], sp)
-						if solo && w.Category != workloads.Low {
-							// Tenancy mixes have no Table 2 PKI category;
-							// the paper's High+Medium row stays solo-only.
-							speedupsHM[scheme] = append(speedupsHM[scheme], sp)
-						}
-						if base.Results.PageWalks > 0 {
-							nw := rec.Results.NormalizedWalks(base.Results)
-							row.NormWalks[scheme] = nw
-							walks[scheme] = append(walks[scheme], nw)
-						}
-					}
-					pt.Apps = append(pt.Apps, row)
-				}
-				for _, scheme := range c.Spec.Schemes {
-					if scheme == baseName {
-						continue
-					}
-					pt.GeomeanSpeedup[scheme] = metrics.Geomean(speedups[scheme])
-					pt.GeomeanSpeedupHighMedium[scheme] = metrics.Geomean(speedupsHM[scheme])
-					pt.MeanNormWalks[scheme] = metrics.Mean(walks[scheme])
-				}
+				pt.reduce(units, func(u unit, scheme string) (Record, bool) {
+					rec, ok := recs[c.Spec.run(u, scheme, l2, ps, cell)]
+					return rec, ok
+				})
 				agg.Points = append(agg.Points, pt)
 			}
 		}
 	}
 	return agg
+}
+
+// reduce fills the point's app rows and bottom rows from rec, which
+// returns the record of app-axis unit u under scheme at this point
+// (ok=false for a missing or failed run). pt.Schemes names the
+// schemes, baseline first.
+func (pt *Point) reduce(units []unit, rec func(u unit, scheme string) (Record, bool)) {
+	pt.GeomeanSpeedup = map[string]float64{}
+	pt.GeomeanSpeedupHighMedium = map[string]float64{}
+	pt.MeanNormWalks = map[string]float64{}
+	baseName, schemes := pt.Schemes[0], pt.Schemes[1:]
+	speedups := map[string][]float64{}
+	speedupsHM := map[string][]float64{}
+	walks := map[string][]float64{}
+	for _, u := range units {
+		base, ok := rec(u, baseName)
+		if !ok {
+			pt.Missing = append(pt.Missing, u.app+"/"+baseName)
+			continue
+		}
+		w, solo := workloads.ByName(u.app)
+		cat := string(w.Category)
+		if u.tenants != "" {
+			cat = "multi"
+		}
+		row := AppRow{
+			App: u.app, Category: cat,
+			BaselineCycles: uint64(base.Results.Cycles),
+			BaselineWalks:  base.Results.PageWalks,
+			Speedup:        map[string]float64{},
+			NormWalks:      map[string]float64{},
+			Digests:        map[string]string{baseName: base.Digest},
+		}
+		for _, scheme := range schemes {
+			r, ok := rec(u, scheme)
+			if !ok {
+				pt.Missing = append(pt.Missing, u.app+"/"+scheme)
+				continue
+			}
+			sp := r.Results.Speedup(base.Results)
+			row.Speedup[scheme] = sp
+			row.Digests[scheme] = r.Digest
+			speedups[scheme] = append(speedups[scheme], sp)
+			if solo && w.Category != workloads.Low {
+				// Tenancy mixes have no Table 2 PKI category; the
+				// paper's High+Medium row stays solo-only.
+				speedupsHM[scheme] = append(speedupsHM[scheme], sp)
+			}
+			if base.Results.PageWalks > 0 {
+				// Apps whose baseline never walks stay out of the mean.
+				nw := r.Results.NormalizedWalks(base.Results)
+				row.NormWalks[scheme] = nw
+				walks[scheme] = append(walks[scheme], nw)
+			}
+		}
+		pt.Apps = append(pt.Apps, row)
+	}
+	for _, scheme := range schemes {
+		pt.GeomeanSpeedup[scheme] = metrics.Geomean(speedups[scheme])
+		pt.GeomeanSpeedupHighMedium[scheme] = metrics.Geomean(speedupsHM[scheme])
+		pt.MeanNormWalks[scheme] = metrics.Mean(walks[scheme])
+	}
+}
+
+// Artifacts are a finished campaign's reductions and the bytes of the
+// files WriteArtifacts wrote from them.
+type Artifacts struct {
+	Aggregate  *Aggregate
+	Robustness *Robustness
+	AggJSON    []byte
+	AggCSV     []byte
+	// RobJSON and RobCSV are nil when the campaign has no chaos cells.
+	RobJSON []byte
+	RobCSV  []byte
+}
+
+// WriteArtifacts reduces the campaign and atomically writes
+// aggregate.json and aggregate.csv into dir, plus robustness.json and
+// robustness.csv when the campaign has adversarial cells (a non-zero
+// chaos rate).
+func (c *Campaign) WriteArtifacts(dir string) (*Artifacts, error) {
+	a := &Artifacts{Aggregate: c.Aggregate(), Robustness: c.Robustness()}
+	var err error
+	if a.AggJSON, err = a.Aggregate.JSON(); err == nil {
+		a.AggCSV, err = a.Aggregate.CSV()
+	}
+	if err != nil {
+		return nil, fmt.Errorf("aggregate: %w", err)
+	}
+	if len(a.Robustness.Rows) > 0 {
+		if a.RobJSON, err = a.Robustness.JSON(); err == nil {
+			a.RobCSV, err = a.Robustness.CSV()
+		}
+		if err != nil {
+			return nil, fmt.Errorf("robustness: %w", err)
+		}
+	}
+	names := []string{"aggregate.json", "aggregate.csv", "robustness.json", "robustness.csv"}
+	for i, data := range [][]byte{a.AggJSON, a.AggCSV, a.RobJSON, a.RobCSV} {
+		if data == nil {
+			continue
+		}
+		if err := WriteFileAtomic(filepath.Join(dir, names[i]), data); err != nil {
+			return nil, err
+		}
+	}
+	return a, nil
 }
 
 // JSON renders the aggregate deterministically (maps marshal with
@@ -221,49 +252,57 @@ func (a *Aggregate) CSV() ([]byte, error) {
 
 // Tables renders the aggregate as the text tables the CLI prints: per
 // point, a Figure 13-shaped speedup table and a Figure 14b-shaped
-// normalized-walk table.
+// normalized-walk table, with "-" for a missing cell.
 func (a *Aggregate) Tables() []*metrics.Table {
 	var out []*metrics.Table
-	for _, pt := range a.Points {
+	for i := range a.Points {
+		pt := &a.Points[i]
 		label := fmt.Sprintf("l2tlb=%d page=%s scale=%g", pt.L2TLB, pt.PageSize, pt.Scale)
 		if pt.ChaosRate > 0 {
 			label += fmt.Sprintf(" chaos=%g seed=%d", pt.ChaosRate, pt.ChaosSeed)
 		}
-		headers := []string{"app"}
-		schemes := pt.Schemes[1:] // skip baseline (identically 1.0)
-		headers = append(headers, schemes...)
-		sp := metrics.NewTable("Sweep speedup vs baseline — "+label, headers...)
-		nw := metrics.NewTable("Sweep page walks normalized to baseline — "+label, headers...)
-		for _, row := range pt.Apps {
-			spRow, nwRow := []string{row.App}, []string{row.App}
-			for _, s := range schemes {
-				if v, ok := row.Speedup[s]; ok {
-					spRow = append(spRow, metrics.F(v))
-				} else {
-					spRow = append(spRow, "-")
-				}
-				if v, ok := row.NormWalks[s]; ok {
-					nwRow = append(nwRow, metrics.F(v))
-				} else {
-					nwRow = append(nwRow, "-")
-				}
-			}
-			sp.AddRow(spRow...)
-			nw.AddRow(nwRow...)
-		}
-		geoRow, hmRow, meanRow := []string{"geomean"}, []string{"geomean-H+M"}, []string{"mean"}
-		for _, s := range schemes {
-			geoRow = append(geoRow, metrics.F(pt.GeomeanSpeedup[s]))
-			hmRow = append(hmRow, metrics.F(pt.GeomeanSpeedupHighMedium[s]))
-			meanRow = append(meanRow, metrics.F(pt.MeanNormWalks[s]))
-		}
-		sp.AddRow(geoRow...)
-		sp.AddRow(hmRow...)
-		nw.AddRow(meanRow...)
+		sp := pt.table("Sweep speedup vs baseline — "+label, speedupCol, "-")
+		pt.summaryRow(sp, "geomean", pt.GeomeanSpeedup)
+		pt.summaryRow(sp, "geomean-H+M", pt.GeomeanSpeedupHighMedium)
 		if len(pt.Missing) > 0 {
 			sp.AddNote("missing cells (failed or absent runs): %v", pt.Missing)
 		}
+		nw := pt.table("Sweep page walks normalized to baseline — "+label, walksCol, "-")
+		pt.summaryRow(nw, "mean", pt.MeanNormWalks)
 		out = append(out, sp, nw)
 	}
 	return out
+}
+
+func speedupCol(row AppRow) map[string]float64 { return row.Speedup }
+func walksCol(row AppRow) map[string]float64   { return row.NormWalks }
+
+// table renders one column per non-baseline scheme of the point and
+// one row per app: the app's value of that scheme in col(row), or
+// missing when it has none.
+func (pt *Point) table(title string, col func(AppRow) map[string]float64, missing string) *metrics.Table {
+	schemes := pt.Schemes[1:] // the baseline is identically 1.0
+	t := metrics.NewTable(title, append([]string{"app"}, schemes...)...)
+	for _, row := range pt.Apps {
+		cells := []string{row.App}
+		for _, s := range schemes {
+			if v, ok := col(row)[s]; ok {
+				cells = append(cells, metrics.F(v))
+			} else {
+				cells = append(cells, missing)
+			}
+		}
+		t.AddRow(cells...)
+	}
+	return t
+}
+
+// summaryRow appends label and the value in m of every non-baseline
+// scheme of the point.
+func (pt *Point) summaryRow(t *metrics.Table, label string, m map[string]float64) {
+	cells := []string{label}
+	for _, s := range pt.Schemes[1:] {
+		cells = append(cells, metrics.F(m[s]))
+	}
+	t.AddRow(cells...)
 }

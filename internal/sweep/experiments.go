@@ -71,11 +71,13 @@ func (r Run) withSampling(sc sample.Config) Run {
 	return r
 }
 
-// expRun is what an experiment body sees: the options, and run, which
-// asks the harness for one simulation.
+// expRun is what an experiment body sees: the options, and run and
+// runAll, which ask the harness for simulations.
 type expRun struct {
 	ExpOptions
-	request func(Run) Record
+	// request submits one run to the harness without blocking and
+	// returns a function that waits for its Record.
+	request func(Run) func() Record
 	err     error
 }
 
@@ -91,15 +93,60 @@ func (o *expRun) point(s core.Scheme, w workloads.Workload) Run {
 // the harness discards a failed experiment's tables, so its body only
 // has to finish, not to compute anything meaningful.
 func (o *expRun) run(r Run) Record {
+	return o.runAll([]Run{r})[0]
+}
+
+// runAll is run over runs, all submitted before the first is awaited
+// so they simulate in parallel. A failed run, and every run after it,
+// comes back as a zero Record.
+func (o *expRun) runAll(runs []Run) []Record {
+	recs := make([]Record, len(runs))
 	if o.err != nil {
-		return Record{}
+		return recs
 	}
-	rec := o.request(r)
-	if rec.Failed() {
-		o.err = fmt.Errorf("run %s (digest %s) failed: %s", rec.Run, rec.Digest, rec.Err)
-		return Record{}
+	waits := make([]func() Record, len(runs))
+	for i, r := range runs {
+		waits[i] = o.request(r)
 	}
-	return rec
+	for i, wait := range waits {
+		if rec := wait(); o.err == nil && rec.Failed() {
+			o.err = fmt.Errorf("run %s (digest %s) failed: %s", rec.Run, rec.Digest, rec.Err)
+		} else if o.err == nil {
+			recs[i] = rec
+		}
+	}
+	return recs
+}
+
+// schemePoint simulates every app of the options under the baseline
+// and schemes, each Run adjusted by adjust (nil: the Table 1
+// defaults), and reduces them to one Point. After a failed run the
+// Point holds zeros; the harness discards the experiment's tables.
+func (o *expRun) schemePoint(schemes []core.Scheme, adjust func(*Run)) *Point {
+	pt := &Point{Schemes: []string{core.Baseline().Name}}
+	for _, s := range schemes {
+		pt.Schemes = append(pt.Schemes, s.Name)
+	}
+	var units []unit
+	var runs []Run
+	for _, w := range o.workloads() {
+		units = append(units, unit{app: w.Name})
+		for _, s := range pt.Schemes {
+			r := defaultRun(w.Name, s, o.scale()).withSampling(o.Sampling)
+			if adjust != nil {
+				adjust(&r)
+			}
+			runs = append(runs, r)
+		}
+	}
+	byCell := map[[2]string]Record{} // app, scheme
+	for i, rec := range o.runAll(runs) {
+		byCell[[2]string{runs[i].App, runs[i].Scheme}] = rec
+	}
+	pt.reduce(units, func(u unit, scheme string) (Record, bool) {
+		return byCell[[2]string{u.app, scheme}], true
+	})
+	return pt
 }
 
 // Experiment is one reproducible paper artifact. Its body runs only
@@ -132,7 +179,7 @@ func RunExperiments(exps []Experiment, opts ExpOptions, eng EngineOptions, emit 
 	}
 	var mu sync.Mutex
 	memo := map[string]*entry{}
-	request := func(r Run) Record {
+	request := func(r Run) func() Record {
 		digest := r.DigestHex()
 		mu.Lock()
 		e, seen := memo[digest]
@@ -147,8 +194,10 @@ func RunExperiments(exps []Experiment, opts ExpOptions, eng EngineOptions, emit 
 				close(e.done)
 			})
 		}
-		<-e.done
-		return e.rec
+		return func() Record {
+			<-e.done
+			return e.rec
+		}
 	}
 
 	type result struct {
@@ -209,8 +258,8 @@ func Experiments() []Experiment {
 // kernels are the best case for the prefetcher, the random/graph apps
 // the worst.
 func expPrefetchAblation(o *expRun) []*metrics.Table {
-	t, _, _ := schemeSpeedups(o, "Ablation §4.1 — victim organization vs prefetch organization (speedup vs baseline)",
-		[]core.Scheme{core.Combined(), core.PrefetchBuffer()})
+	t := speedupTable("Ablation §4.1 — victim organization vs prefetch organization (speedup vs baseline)",
+		o.schemePoint([]core.Scheme{core.Combined(), core.PrefetchBuffer()}, nil))
 	t.AddNote("prefetch walks consume real walker/L2-TLB bandwidth, so mispredictions on irregular apps cost performance")
 	return []*metrics.Table{t}
 }
@@ -304,20 +353,19 @@ func expFig2Fig3(o *expRun) []*metrics.Table {
 	walks := metrics.NewTable("Figure 2 — page walks normalized to 512-entry L2 TLB", walkHeaders...)
 	perf := metrics.NewTable("Figure 3 — speedup over 512-entry L2 TLB", headers...)
 
-	var perAppSpeedups [][]float64
+	speedups := make([][]float64, len(l2SweepEntries)-1) // per column
 	for _, w := range o.workloads() {
 		base := o.run(o.point(core.Baseline(), w)).Results
 		walkRow := []string{w.Name}
 		perfRow := []string{w.Name}
-		var speeds []float64
-		for _, entries := range l2SweepEntries[1:] {
+		for i, entries := range l2SweepEntries[1:] {
 			run := o.point(core.Baseline(), w)
 			run.L2TLB = entries
 			r := o.run(run).Results
 			walkRow = append(walkRow, metrics.F(r.NormalizedWalks(base)))
 			s := r.Speedup(base)
 			perfRow = append(perfRow, metrics.F(s))
-			speeds = append(speeds, s)
+			speedups[i] = append(speedups[i], s)
 		}
 		// The Perfect-L2-TLB bound appears in the walk table, where it is
 		// exact (zero walks); its end-to-end cycles are subject to a
@@ -330,19 +378,12 @@ func expFig2Fig3(o *expRun) []*metrics.Table {
 		walkRow = append(walkRow, metrics.F(r.NormalizedWalks(base)))
 		walks.AddRow(walkRow...)
 		perf.AddRow(perfRow...)
-		perAppSpeedups = append(perAppSpeedups, speeds)
 	}
-	if len(perAppSpeedups) > 0 {
-		geoRow := []string{"geomean"}
-		for c := range perAppSpeedups[0] {
-			col := make([]float64, 0, len(perAppSpeedups))
-			for _, row := range perAppSpeedups {
-				col = append(col, row[c])
-			}
-			geoRow = append(geoRow, metrics.F(metrics.Geomean(col)))
-		}
-		perf.AddRow(geoRow...)
+	geoRow := []string{"geomean"}
+	for _, col := range speedups {
+		geoRow = append(geoRow, metrics.F(metrics.Geomean(col)))
 	}
+	perf.AddRow(geoRow...)
 	perf.AddNote("paper: +14.7%% at 8K entries, up to +50.1%% at 2M; the scaled footprints saturate earlier but the monotone shape and the flat SRAD/SSSP/PRK rows are the target")
 	return []*metrics.Table{walks, perf}
 }
@@ -420,59 +461,38 @@ func expFig11(o *expRun) []*metrics.Table {
 	return []*metrics.Table{t}
 }
 
-// schemeTable tabulates metric(scheme run, baseline run) for every
-// app × scheme and returns the table, one column vector per scheme,
-// and the apps in row order. A value with ok=false is printed but
-// left out of its vector.
-func schemeTable(o *expRun, title string, schemes []core.Scheme, metric func(r, base core.Results) (v float64, ok bool)) (*metrics.Table, map[string][]float64, []workloads.Workload) {
-	headers := []string{"app"}
-	for _, s := range schemes {
-		headers = append(headers, s.Name)
-	}
-	t := metrics.NewTable(title, headers...)
-	vectors := make(map[string][]float64)
-	apps := o.workloads()
-	for _, w := range apps {
-		base := o.run(o.point(core.Baseline(), w)).Results
-		row := []string{w.Name}
-		for _, s := range schemes {
-			v, ok := metric(o.run(o.point(s, w)).Results, base)
-			row = append(row, metrics.F(v))
-			if ok {
-				vectors[s.Name] = append(vectors[s.Name], v)
-			}
+// speedupTable renders pt's per-app speedups with a geomean row.
+func speedupTable(title string, pt *Point) *metrics.Table {
+	t := pt.table(title, speedupCol, metrics.F(0))
+	pt.summaryRow(t, "geomean", pt.GeomeanSpeedup)
+	return t
+}
+
+// axisTable renders scheme's speedup at each of pts as one column
+// under headers, one row per app, and the points' geomeans as the
+// last row.
+func axisTable(title string, headers []string, scheme string, pts []*Point) *metrics.Table {
+	t := metrics.NewTable(title, append([]string{"app"}, headers...)...)
+	for i, row := range pts[0].Apps {
+		cells := []string{row.App}
+		for _, pt := range pts {
+			cells = append(cells, metrics.F(pt.Apps[i].Speedup[scheme]))
 		}
-		t.AddRow(row...)
+		t.AddRow(cells...)
 	}
-	return t, vectors, apps
-}
-
-// addSummaryRow appends a row labelled label that reduces each
-// scheme's vector.
-func addSummaryRow(t *metrics.Table, label string, schemes []core.Scheme, vectors map[string][]float64, reduce func([]float64) float64) {
-	row := []string{label}
-	for _, s := range schemes {
-		row = append(row, metrics.F(reduce(vectors[s.Name])))
+	geo := []string{"geomean"}
+	for _, pt := range pts {
+		geo = append(geo, metrics.F(pt.GeomeanSpeedup[scheme]))
 	}
-	t.AddRow(row...)
-}
-
-// schemeSpeedups is the speedup-vs-baseline table of the given schemes
-// with a geomean row, plus the per-scheme speedup vectors and the apps
-// (every app has a speedup, so vectors align with apps).
-func schemeSpeedups(o *expRun, title string, schemes []core.Scheme) (*metrics.Table, map[string][]float64, []workloads.Workload) {
-	t, vectors, apps := schemeTable(o, title, schemes, func(r, base core.Results) (float64, bool) {
-		return r.Speedup(base), true
-	})
-	addSummaryRow(t, "geomean", schemes, vectors, metrics.Geomean)
-	return t, vectors, apps
+	t.AddRow(geo...)
+	return t
 }
 
 // expFig13a reproduces Figure 13a: the four reconfigurable I-cache
 // design points.
 func expFig13a(o *expRun) []*metrics.Table {
-	t, _, _ := schemeSpeedups(o, "Figure 13a — reconfigurable I-cache designs (speedup vs baseline)",
-		[]core.Scheme{core.ICOneTx(), core.ICNaive(), core.ICAware(), core.ICAwareFlush()})
+	t := speedupTable("Figure 13a — reconfigurable I-cache designs (speedup vs baseline)",
+		o.schemePoint([]core.Scheme{core.ICOneTx(), core.ICNaive(), core.ICAware(), core.ICAwareFlush()}, nil))
 	t.AddNote("paper: 1-Tx/way ≈ 1.00, naive ≈ 0.984 (−1.65%%), instr-aware +12.4%%, +flush further +1.2%%")
 	return []*metrics.Table{t}
 }
@@ -480,17 +500,9 @@ func expFig13a(o *expRun) []*metrics.Table {
 // expFig13b reproduces Figure 13b: LDS-only, IC (preferred design) and
 // IC+LDS speedups, with the paper's geomean aggregations.
 func expFig13b(o *expRun) []*metrics.Table {
-	schemes := []core.Scheme{core.LDSOnly(), core.ICAwareFlush(), core.Combined()}
-	t, vectors, apps := schemeSpeedups(o, "Figure 13b — LDS / IC / IC+LDS (speedup vs baseline)", schemes)
-	hm := make(map[string][]float64)
-	for i, w := range apps {
-		if w.Category != workloads.Low {
-			for _, s := range schemes {
-				hm[s.Name] = append(hm[s.Name], vectors[s.Name][i])
-			}
-		}
-	}
-	addSummaryRow(t, "geomean-H+M", schemes, hm, metrics.Geomean)
+	pt := o.schemePoint([]core.Scheme{core.LDSOnly(), core.ICAwareFlush(), core.Combined()}, nil)
+	t := speedupTable("Figure 13b — LDS / IC / IC+LDS (speedup vs baseline)", pt)
+	pt.summaryRow(t, "geomean-H+M", pt.GeomeanSpeedupHighMedium)
 	t.AddNote("paper geomeans: LDS +8.6%%, IC +13.6%%, IC+LDS +30.1%% (all apps); +25.9%%/+36.5%%/+147.2%% over High+Medium only; ATAX/BICG peak at ~4.4x")
 	return []*metrics.Table{t}
 }
@@ -498,10 +510,27 @@ func expFig13b(o *expRun) []*metrics.Table {
 // expFig13c reproduces Figure 13c: DRAM energy normalized to baseline.
 func expFig13c(o *expRun) []*metrics.Table {
 	schemes := []core.Scheme{core.LDSOnly(), core.ICAwareFlush(), core.Combined()}
-	t, vectors, _ := schemeTable(o, "Figure 13c — normalized DRAM energy", schemes, func(r, base core.Results) (float64, bool) {
-		return r.NormalizedEnergy(base), true
-	})
-	addSummaryRow(t, "mean", schemes, vectors, metrics.Mean)
+	headers := []string{"app"}
+	for _, s := range schemes {
+		headers = append(headers, s.Name)
+	}
+	t := metrics.NewTable("Figure 13c — normalized DRAM energy", headers...)
+	energy := make([][]float64, len(schemes))
+	for _, w := range o.workloads() {
+		base := o.run(o.point(core.Baseline(), w)).Results
+		row := []string{w.Name}
+		for i, s := range schemes {
+			e := o.run(o.point(s, w)).Results.NormalizedEnergy(base)
+			row = append(row, metrics.F(e))
+			energy[i] = append(energy[i], e)
+		}
+		t.AddRow(row...)
+	}
+	mean := []string{"mean"}
+	for _, e := range energy {
+		mean = append(mean, metrics.F(metrics.Mean(e)))
+	}
+	t.AddRow(mean...)
 	t.AddNote("paper: energy reduced on average by 4.1%% (LDS), 5.2%% (IC), 9.2%% (IC+LDS); GEV peaks at −27.3%%")
 	return []*metrics.Table{t}
 }
@@ -519,13 +548,11 @@ func expFig14a(o *expRun) []*metrics.Table {
 }
 
 // expFig14b reproduces Figure 14b: page walks normalized to baseline.
+// Apps whose baseline never walks print 0 but stay out of the mean.
 func expFig14b(o *expRun) []*metrics.Table {
-	schemes := []core.Scheme{core.LDSOnly(), core.ICAwareFlush(), core.Combined()}
-	t, vectors, _ := schemeTable(o, "Figure 14b — page walks normalized to baseline", schemes, func(r, base core.Results) (float64, bool) {
-		// Apps whose baseline never walks print 0 but stay out of the mean.
-		return r.NormalizedWalks(base), base.PageWalks > 0
-	})
-	addSummaryRow(t, "mean", schemes, vectors, metrics.Mean)
+	pt := o.schemePoint([]core.Scheme{core.LDSOnly(), core.ICAwareFlush(), core.Combined()}, nil)
+	t := pt.table("Figure 14b — page walks normalized to baseline", walksCol, metrics.F(0))
+	pt.summaryRow(t, "mean", pt.MeanNormWalks)
 	t.AddNote("paper: walks reduced by 33.5%% (LDS), 40.6%% (IC), 72.9%% (IC+LDS)")
 	return []*metrics.Table{t}
 }
@@ -533,29 +560,13 @@ func expFig14b(o *expRun) []*metrics.Table {
 // expFig14c reproduces Figure 14c: IC+LDS speedup at 4KB, 64KB and 2MB
 // page granularities (each vs the baseline at the same page size).
 func expFig14c(o *expRun) []*metrics.Table {
-	sizes := []string{"4K", "64K", "2M"}
-	t := metrics.NewTable("Figure 14c — IC+LDS speedup by page size", "app", "4KB", "64KB", "2MB")
-	vectors := make([][]float64, len(sizes))
-	for _, w := range o.workloads() {
-		row := []string{w.Name}
-		for i, ps := range sizes {
-			baseRun := o.point(core.Baseline(), w)
-			baseRun.PageSize = ps
-			base := o.run(baseRun).Results
-			run := o.point(core.Combined(), w)
-			run.PageSize = ps
-			r := o.run(run).Results
-			s := r.Speedup(base)
-			row = append(row, metrics.F(s))
-			vectors[i] = append(vectors[i], s)
-		}
-		t.AddRow(row...)
+	var headers []string
+	var pts []*Point
+	for _, ps := range []string{"4K", "64K", "2M"} {
+		headers = append(headers, ps+"B")
+		pts = append(pts, o.schemePoint([]core.Scheme{core.Combined()}, func(r *Run) { r.PageSize = ps }))
 	}
-	geo := []string{"geomean"}
-	for i := range sizes {
-		geo = append(geo, metrics.F(metrics.Geomean(vectors[i])))
-	}
-	t.AddRow(geo...)
+	t := axisTable("Figure 14c — IC+LDS speedup by page size", headers, core.Combined().Name, pts)
 	t.AddNote("paper: +30.1%% at 4KB, +18.4%% at 64KB, +5.6%% at 2MB — gains shrink but persist with large pages")
 	return []*metrics.Table{t}
 }
@@ -578,35 +589,16 @@ func expFig15(o *expRun) []*metrics.Table {
 }
 
 // expFig16a reproduces Figure 16a: 1→8 CUs sharing an I-cache at
-// constant total I-cache capacity (Run.Config resizes the I-caches).
+// constant total I-cache capacity (Run.Config resizes the I-caches),
+// each vs the baseline at the same sharing degree.
 func expFig16a(o *expRun) []*metrics.Table {
-	sharerSet := []int{1, 2, 4, 8}
-	headers := []string{"app"}
-	for _, s := range sharerSet {
-		headers = append(headers, fmt.Sprintf("%d-CU", s))
+	var headers []string
+	var pts []*Point
+	for _, sharers := range []int{1, 2, 4, 8} {
+		headers = append(headers, fmt.Sprintf("%d-CU", sharers))
+		pts = append(pts, o.schemePoint([]core.Scheme{core.Combined()}, func(r *Run) { r.ICSharers = sharers }))
 	}
-	t := metrics.NewTable("Figure 16a — IC+LDS speedup vs I-cache sharers (constant total capacity)", headers...)
-	vectors := make([][]float64, len(sharerSet))
-	for _, w := range o.workloads() {
-		row := []string{w.Name}
-		for i, sharers := range sharerSet {
-			baseRun := o.point(core.Baseline(), w)
-			baseRun.ICSharers = sharers
-			base := o.run(baseRun).Results
-			run := o.point(core.Combined(), w)
-			run.ICSharers = sharers
-			r := o.run(run).Results
-			s := r.Speedup(base)
-			row = append(row, metrics.F(s))
-			vectors[i] = append(vectors[i], s)
-		}
-		t.AddRow(row...)
-	}
-	geo := []string{"geomean"}
-	for i := range sharerSet {
-		geo = append(geo, metrics.F(metrics.Geomean(vectors[i])))
-	}
-	t.AddRow(geo...)
+	t := axisTable("Figure 16a — IC+LDS speedup vs I-cache sharers (constant total capacity)", headers, core.Combined().Name, pts)
 	t.AddNote("paper: improvement grows from +17.3%% (private) to +38.4%% (fully shared) as duplication falls")
 	return []*metrics.Table{t}
 }
@@ -651,8 +643,8 @@ func expFig16b(o *expRun) []*metrics.Table {
 // expFig16c reproduces Figure 16c: DUCATI alone and composed with the
 // reconfigurable design.
 func expFig16c(o *expRun) []*metrics.Table {
-	t, _, _ := schemeSpeedups(o, "Figure 16c — DUCATI composition (speedup vs baseline)",
-		[]core.Scheme{core.DucatiOnly(), core.Combined(), core.CombinedDucati()})
+	t := speedupTable("Figure 16c — DUCATI composition (speedup vs baseline)",
+		o.schemePoint([]core.Scheme{core.DucatiOnly(), core.Combined(), core.CombinedDucati()}, nil))
 	t.AddNote("paper: DUCATI alone +4.9%%; IC+LDS +30.1%%; IC+LDS+DUCATI +40.7%%")
 	return []*metrics.Table{t}
 }

@@ -87,10 +87,7 @@ func (c *Campaign) Robustness() *Robustness {
 		for _, ps := range c.Spec.PageSizes {
 			for _, u := range c.Spec.units() {
 				for _, scheme := range c.Spec.Schemes {
-					key := Run{
-						App: u.app, Tenants: u.tenants, Scheme: scheme,
-						Scale: c.Spec.Scale, L2TLB: l2, PageSize: ps,
-					}
+					key := c.Spec.run(u, scheme, l2, ps, chaosCell{})
 					anchor, anchorOK := recs[key] // rate 0, seed 0
 					anchorOK = anchorOK && !anchor.Failed() && anchor.Results.Cycles > 0
 					for _, rate := range c.Spec.ChaosRates {

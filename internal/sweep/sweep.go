@@ -13,6 +13,7 @@
 package sweep
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"sort"
@@ -196,11 +197,13 @@ func (s Spec) chaosCells() []chaosCell {
 }
 
 // Validate rejects unknown apps, schemes, page sizes and tenancy
-// mixes with errors that list the valid names, and NaN, infinite or
-// negative scales, L2 TLB sizes that are not a positive multiple of
-// its associativity, and malformed chaos dimensions (NaN/negative/
+// mixes with errors that list the valid names, and with errors that
+// name the rule: a repeated app, tenancy mix, L2 TLB size or page size
+// (it would weigh twice in the geomeans), NaN, infinite or negative
+// scales, L2 TLB sizes that are not a positive multiple of its
+// associativity, and malformed chaos dimensions (NaN/negative/
 // super-unity rates, the reserved seed 0, seeds without a rate to pair
-// with) with errors that name the rule.
+// with).
 // It expects a Normalized spec but also works on a raw one.
 func (s Spec) Validate() error {
 	if _, err := core.ResolveApps(s.Apps); err != nil {
@@ -208,6 +211,10 @@ func (s Spec) Validate() error {
 	}
 	if err := core.ValidateScale(s.Scale); err != nil {
 		return fmt.Errorf("sweep spec: %w", err)
+	}
+	if err := errors.Join(distinct("tenancy mix", s.Tenancy),
+		distinct("L2 TLB size", s.L2TLB), distinct("page size", s.PageSizes)); err != nil {
+		return err
 	}
 	for _, name := range s.Schemes {
 		if _, ok := core.SchemeByName(name); !ok {
@@ -269,6 +276,18 @@ func (s Spec) Validate() error {
 	return nil
 }
 
+// distinct rejects a spec axis that names a value twice.
+func distinct[T comparable](axis string, xs []T) error {
+	seen := map[T]bool{}
+	for _, x := range xs {
+		if seen[x] {
+			return fmt.Errorf("sweep spec: %s %v named more than once", axis, x)
+		}
+		seen[x] = true
+	}
+	return nil
+}
+
 // Expand enumerates the matrix into run descriptors in deterministic
 // nested order: app-axis unit (solo workloads, then tenancy mixes) ×
 // scheme × L2-TLB × page size × chaos cell (fault-free first, then
@@ -282,21 +301,27 @@ func (s Spec) Expand() []Run {
 			for _, l2 := range s.L2TLB {
 				for _, ps := range s.PageSizes {
 					for _, cell := range s.chaosCells() {
-						runs = append(runs, Run{
-							App: u.app, Tenants: u.tenants,
-							Scheme: scheme, Scale: s.Scale,
-							L2TLB: l2, PageSize: ps,
-							ChaosSeed: cell.seed, ChaosRate: cell.rate,
-							SampleWindows:    s.SampleWindows,
-							SampleDetailFrac: s.SampleDetailFrac,
-							SampleSeed:       s.SampleSeed,
-						})
+						runs = append(runs, s.run(u, scheme, l2, ps, cell))
 					}
 				}
 			}
 		}
 	}
 	return runs
+}
+
+// run is the matrix cell of unit u under scheme at one L2-TLB size,
+// page size and chaos cell.
+func (s Spec) run(u unit, scheme string, l2 int, ps string, cell chaosCell) Run {
+	return Run{
+		App: u.app, Tenants: u.tenants,
+		Scheme: scheme, Scale: s.Scale,
+		L2TLB: l2, PageSize: ps,
+		ChaosSeed: cell.seed, ChaosRate: cell.rate,
+		SampleWindows:    s.SampleWindows,
+		SampleDetailFrac: s.SampleDetailFrac,
+		SampleSeed:       s.SampleSeed,
+	}
 }
 
 // Run is one fully-determined simulation: a point of the campaign

@@ -111,18 +111,26 @@ func TestValidateChaosAndTenancyDimensions(t *testing.T) {
 }
 
 func TestValidateRejectsUnknownNames(t *testing.T) {
-	cases := []Spec{
-		{Apps: []string{"NOPE"}},
-		{Schemes: []string{"warp-drive"}},
-		{PageSizes: []string{"1G"}},
-		{L2TLB: []int{-1}},
-		{L2TLB: []int{24}},
+	cases := []struct {
+		spec Spec
+		want string
+	}{
+		{Spec{Apps: []string{"NOPE"}}, "valid"},
+		{Spec{Schemes: []string{"warp-drive"}}, "valid"},
+		{Spec{PageSizes: []string{"1G"}}, "valid"},
+		{Spec{L2TLB: []int{-1}}, "valid"},
+		{Spec{L2TLB: []int{24}}, "valid"},
+		// A repeated row or point would weigh twice in the geomeans.
+		{Spec{Apps: []string{"GUPS", "GUPS", "SRAD"}}, "GUPS named more than once"},
+		{Spec{Tenancy: []string{"MVT+SRAD", "MVT+SRAD"}}, "tenancy mix MVT+SRAD named more than once"},
+		{Spec{L2TLB: []int{512, 1024, 512}}, "L2 TLB size 512 named more than once"},
+		{Spec{PageSizes: []string{"4K", "4K"}}, "page size 4K named more than once"},
 	}
-	for i, s := range cases {
-		if err := s.Validate(); err == nil {
-			t.Errorf("case %d: Validate accepted invalid spec %+v", i, s)
-		} else if !strings.Contains(err.Error(), "valid") && !strings.Contains(err.Error(), "non-positive") {
-			t.Errorf("case %d: error %q does not name valid options", i, err)
+	for i, c := range cases {
+		if err := c.spec.Normalize().Validate(); err == nil {
+			t.Errorf("case %d: Validate accepted invalid spec %+v", i, c.spec)
+		} else if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("case %d: error %q does not contain %q", i, err, c.want)
 		}
 	}
 	if err := testSpec().Normalize().Validate(); err != nil {
