@@ -9,6 +9,9 @@
 #                     bash perfbench/run.sh)
 #   make bench-smoke  one-iteration pass over every benchmark (CI keeps them
 #                     compiling and running; no stable numbers expected)
+#   make perfbench-selftest
+#                     the repository benchmark's own tests at tiny scale
+#                     (perfbench/ is a separate module, so tier1 skips it)
 #   make exp-smoke    every paper experiment at scale 0.05 on MVT,SRAD through
 #                     `gpureach exp`, asserting stdout is byte-identical at
 #                     GOMAXPROCS=1 vs 2 and to the committed golden
@@ -35,7 +38,7 @@ GO ?= go
 
 .DEFAULT_GOAL := tier1
 
-.PHONY: tier1 tier2 lint bench bench-smoke exp-smoke sweep-smoke chaos-smoke sample-smoke serve-smoke shard-smoke coverage loc
+.PHONY: tier1 tier2 lint bench bench-smoke perfbench-selftest exp-smoke sweep-smoke chaos-smoke sample-smoke serve-smoke shard-smoke coverage loc
 
 tier1:
 	$(GO) build ./...
@@ -56,6 +59,9 @@ bench:
 
 bench-smoke:
 	$(GO) test -bench=. -benchtime 1x -benchmem -run NONE ./internal/sim/
+
+perfbench-selftest:
+	cd perfbench && $(GO) test ./...
 
 exp-smoke:
 	rm -rf .exp-smoke

@@ -57,11 +57,28 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Accesses)
 }
 
+// line is one 16-byte way. tag packs lineAddr<<lineTagShift with the
+// dirty and valid bits, so a way probe compares one word (a line
+// address needs at most 62 bits, far above any simulated memory);
+// stamp is the LRU clock of the line's last touch.
 type line struct {
 	tag   uint64
-	valid bool
-	dirty bool
 	stamp uint64
+}
+
+const (
+	lineValid    = 1
+	lineDirty    = 2
+	lineTagShift = 2
+)
+
+// lineTag is the packed tag of a valid line holding lineAddr.
+func lineTag(lineAddr uint64, dirty bool) uint64 {
+	t := lineAddr<<lineTagShift | lineValid
+	if dirty {
+		t |= lineDirty
+	}
+	return t
 }
 
 // waiter is one request merged onto an in-flight miss. Each waiter
@@ -175,8 +192,9 @@ func (c *Cache) lookup(lineAddr uint64) int {
 
 // findWay scans one set for lineAddr, returning its way index or -1.
 func findWay(set []line, lineAddr uint64) int {
+	want := lineTag(lineAddr, false)
 	for i := range set {
-		if set[i].valid && set[i].tag == lineAddr {
+		if set[i].tag&^lineDirty == want {
 			return i
 		}
 	}
@@ -235,7 +253,7 @@ func (c *Cache) AccessEvent(addr vm.PA, write bool, h sim.Handler, ctx any) {
 	if w := findWay(set, la); w >= 0 {
 		set[w].stamp = c.clock
 		if write {
-			set[w].dirty = true
+			set[w].tag |= lineDirty
 		}
 		c.stats.Hits++
 		c.eng.AtEvent(grant+c.hitLatency, h, ctx)
@@ -263,14 +281,14 @@ func (c *Cache) fill(lineAddr uint64, dirty bool) {
 	if w := findWay(set, lineAddr); w >= 0 {
 		// Raced with another fill of the same line.
 		if dirty {
-			set[w].dirty = true
+			set[w].tag |= lineDirty
 		}
 		return
 	}
 	c.clock++
 	victim := -1
 	for i := range set {
-		if !set[i].valid {
+		if set[i].tag&lineValid == 0 {
 			victim = i
 			break
 		}
@@ -282,14 +300,19 @@ func (c *Cache) fill(lineAddr uint64, dirty bool) {
 				victim = i
 			}
 		}
-		if set[victim].dirty {
-			c.stats.Writebacks++
-			wbAddr := vm.PA(set[victim].tag << c.lineBits)
-			accessEvent(c.parent, c.parentEv, wbAddr, true, nop, nil)
+		if set[victim].tag&lineDirty != 0 {
+			c.writeback(set[victim].tag)
 		}
 		c.stats.Evictions++
 	}
-	set[victim] = line{tag: lineAddr, valid: true, dirty: dirty, stamp: c.clock}
+	set[victim] = line{tag: lineTag(lineAddr, dirty), stamp: c.clock}
+}
+
+// writeback sends a dirty line's data to the parent, fire-and-forget.
+func (c *Cache) writeback(tag uint64) {
+	c.stats.Writebacks++
+	addr := vm.PA(tag >> lineTagShift << c.lineBits)
+	accessEvent(c.parent, c.parentEv, addr, true, nop, nil)
 }
 
 // Contains reports whether the line holding addr is resident (no LRU or
@@ -299,9 +322,8 @@ func (c *Cache) Contains(addr vm.PA) bool { return c.lookup(c.lineAddr(addr)) >=
 // Flush invalidates the whole cache, writing back dirty lines.
 func (c *Cache) Flush() {
 	for i := range c.lines {
-		if c.lines[i].valid && c.lines[i].dirty {
-			c.stats.Writebacks++
-			accessEvent(c.parent, c.parentEv, vm.PA(c.lines[i].tag<<c.lineBits), true, nop, nil)
+		if c.lines[i].tag&lineDirty != 0 {
+			c.writeback(c.lines[i].tag)
 		}
 		c.lines[i] = line{}
 	}

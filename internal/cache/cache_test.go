@@ -14,11 +14,13 @@ type fakeMem struct {
 	reads    int
 	writes   int
 	accesses []vm.PA
+	written  []vm.PA
 }
 
 func (m *fakeMem) Access(addr vm.PA, write bool, done func()) {
 	if write {
 		m.writes++
+		m.written = append(m.written, addr)
 	} else {
 		m.reads++
 	}
@@ -100,14 +102,19 @@ func TestWritebackOnDirtyEviction(t *testing.T) {
 
 func TestCleanEvictionNoWriteback(t *testing.T) {
 	eng, c, mem := newDUT(t)
-	c.Access(0, false, func() {})
-	eng.Run()
-	c.Access(8*64, false, func() {})
-	eng.Run()
-	c.Access(16*64, false, func() {})
+	// Line 0 is read twice (a miss, then a hit) before 8*64 and 16*64
+	// evict it; Flush then drops those two, also only read.
+	for _, a := range []vm.PA{0, 0, 8 * 64, 16 * 64} {
+		c.Access(a, false, func() {})
+		eng.Run()
+	}
+	if c.Stats().Hits != 1 || c.Stats().Evictions != 1 {
+		t.Fatalf("stats = %+v, want 1 hit and 1 eviction", c.Stats())
+	}
+	c.Flush()
 	eng.Run()
 	if mem.writes != 0 {
-		t.Errorf("clean eviction wrote back %d times", mem.writes)
+		t.Errorf("read-only lines wrote back %d times", mem.writes)
 	}
 }
 
@@ -243,5 +250,70 @@ func TestHashedSetsRetainLines(t *testing.T) {
 	}
 	if resident < 48 {
 		t.Errorf("only %d/64 strided lines resident — set hashing ineffective", resident)
+	}
+}
+
+// sameSet returns n line addresses other than addr's that the cache's
+// hashed index maps to addr's set.
+func sameSet(c *Cache, addr vm.PA, n int) []vm.PA {
+	home := &c.set(c.lineAddr(addr))[0]
+	var out []vm.PA
+	for la := uint64(1); len(out) < n; la++ {
+		if la != c.lineAddr(addr) && &c.set(la)[0] == home {
+			out = append(out, vm.PA(la<<c.lineBits))
+		}
+	}
+	return out
+}
+
+// TestPackedLineWritebackAddress: a dirty line at the top of an 8GB
+// physical space writes back its exact address, whether it leaves by
+// eviction or by Flush — the packed tag keeps every line-address bit
+// apart from the dirty and valid flags.
+func TestPackedLineWritebackAddress(t *testing.T) {
+	top := vm.PA(8<<30 - 64)
+	for _, flush := range []bool{false, true} {
+		eng, c, mem := newDUT(t)
+		c.Access(top+8, true, func() {})
+		eng.Run()
+		c.Access(top, false, func() {}) // the dirty line still hits
+		eng.Run()
+		if c.Stats().Hits != 1 {
+			t.Fatalf("flush=%v: hits = %d after the dirty fill, want 1", flush, c.Stats().Hits)
+		}
+		if flush {
+			c.Flush()
+		} else {
+			for _, a := range sameSet(c, top, 2) { // 2 ways: the second evicts top
+				c.Access(a, false, func() {})
+				eng.Run()
+			}
+		}
+		eng.Run()
+		if len(mem.written) != 1 || mem.written[0] != top {
+			t.Errorf("flush=%v: wrote back %#x, want [%#x]", flush, mem.written, top)
+		}
+		if c.Contains(top) {
+			t.Errorf("flush=%v: line still resident", flush)
+		}
+	}
+}
+
+// TestMergedWriteLeavesLineDirty: a write that merges onto an in-flight
+// miss dirties the filled line, in either merge order.
+func TestMergedWriteLeavesLineDirty(t *testing.T) {
+	for _, first := range []bool{false, true} {
+		eng, c, mem := newDUT(t)
+		c.Access(0, first, func() {})
+		c.Access(8, !first, func() {}) // same line, merged
+		eng.Run()
+		if c.Stats().MergedMiss != 1 {
+			t.Fatalf("MergedMiss = %d, want 1", c.Stats().MergedMiss)
+		}
+		c.Flush()
+		eng.Run()
+		if len(mem.written) != 1 || mem.written[0] != 0 {
+			t.Errorf("write first=%v: wrote back %#x, want [0x0]", first, mem.written)
+		}
 	}
 }

@@ -47,14 +47,17 @@ func (s PageSize) VPN(va VA) VPN { return VPN(uint64(va) >> s.Bits()) }
 // Base returns the first virtual address of the page containing va.
 func (s PageSize) Base(va VA) VA { return VA(uint64(va) &^ (uint64(s) - 1)) }
 
+// MaxWalkLevels is the deepest walk: a 48-bit VA with 4KB or 64KB pages.
+const MaxWalkLevels = 4
+
 // WalkLevels returns how many page-table levels a walk traverses for this
 // granularity: 4 for 4KB and 64KB pages (64KB is a TLB-coalescing
 // granularity over 4KB PTEs), 3 for 2MB pages (leaf at the PMD).
 func (s PageSize) WalkLevels() int {
 	if s >= Page2M {
-		return 3
+		return MaxWalkLevels - 1
 	}
-	return 4
+	return MaxWalkLevels
 }
 
 const (
@@ -156,10 +159,10 @@ func (pt *PageTable) Mapped() uint64 { return pt.mapped }
 // down to the leaf. The fixed-size return keeps the split off the heap:
 // warming translates millions of VPNs through here with no events to
 // amortize an allocation against.
-func (pt *PageTable) levelIndices(vpn VPN) ([4]int, int) {
+func (pt *PageTable) levelIndices(vpn VPN) ([MaxWalkLevels]int, int) {
 	levels := pt.pageSize.WalkLevels()
 	va := uint64(vpn) << pt.pageSize.Bits()
-	var idx [4]int
+	var idx [MaxWalkLevels]int
 	shift := uint(vaBits - levelBits) // top level
 	for i := 0; i < levels; i++ {
 		idx[i] = int((va >> shift) & (entriesPerPT - 1))
@@ -207,12 +210,14 @@ func (pt *PageTable) Unmap(vpn VPN) bool {
 	return true
 }
 
-// Walk is the result of traversing the table for one VPN.
+// Walk is the result of traversing the table for one VPN. It is a plain
+// value: the step addresses live inline, so a walk never allocates.
 type Walk struct {
-	// Steps holds the physical address of the page-table entry read at
-	// each level, root first. A walker that hits in a page-walk cache
-	// skips a prefix of Steps.
-	Steps []PA
+	// Steps[:Levels] holds the physical address of the page-table entry
+	// read at each level, root first. A walker that hits in a page-walk
+	// cache skips a prefix of them.
+	Steps  [MaxWalkLevels]PA
+	Levels int
 	// PFN is the translation result; only meaningful if OK.
 	PFN PFN
 	// OK reports whether the VPN was mapped. A failed walk still touched
@@ -226,9 +231,9 @@ func (pt *PageTable) Walk(vpn VPN) Walk {
 	var w Walk
 	n := pt.root
 	for d, i := range idx[:levels] {
-		w.Steps = append(w.Steps, n.pa+PA(i*8))
-		last := d == levels-1
-		if last {
+		w.Steps[d] = n.pa + PA(i*8)
+		w.Levels = d + 1
+		if w.Levels == levels {
 			lf := n.leaves[i]
 			w.PFN, w.OK = lf.pfn, lf.valid
 			return w
@@ -258,8 +263,8 @@ func (pt *PageTable) PrefixKey(vpn VPN, level int) uint64 {
 
 // Lookup translates vpn without recording walk steps. It is the
 // functional (zero-latency) view used by tests and by structures that
-// need the mapping but not the timing. Unlike Walk it never allocates,
-// so it is also the fast path warming leans on.
+// need the mapping but not the timing, and the fast path warming leans
+// on.
 func (pt *PageTable) Lookup(vpn VPN) (PFN, bool) {
 	idx, levels := pt.levelIndices(vpn)
 	n := pt.root

@@ -51,8 +51,8 @@ func TestMapWalkRoundTrip(t *testing.T) {
 		if !w.OK || w.PFN != 42 {
 			t.Errorf("ps=%d: walk = %+v, want PFN 42", ps, w)
 		}
-		if len(w.Steps) != ps.WalkLevels() {
-			t.Errorf("ps=%d: %d steps, want %d", ps, len(w.Steps), ps.WalkLevels())
+		if w.Levels != ps.WalkLevels() {
+			t.Errorf("ps=%d: %d steps, want %d", ps, w.Levels, ps.WalkLevels())
 		}
 	}
 }
@@ -65,7 +65,7 @@ func TestWalkMissingVPN(t *testing.T) {
 	if w.OK {
 		t.Error("walk of unmapped VPN reported OK")
 	}
-	if len(w.Steps) == 0 {
+	if w.Levels == 0 {
 		t.Error("failed walk should still have touched the root")
 	}
 }
@@ -77,11 +77,33 @@ func TestWalkStepsDistinctAddresses(t *testing.T) {
 	pt.Map(vpn, 7)
 	w := pt.Walk(vpn)
 	seen := map[PA]bool{}
-	for _, s := range w.Steps {
+	for _, s := range w.Steps[:w.Levels] {
 		if seen[s] {
 			t.Fatalf("duplicate step address %#x", s)
 		}
 		seen[s] = true
+	}
+}
+
+// Walk sits on every IOMMU walk of a full-detail run, so it must not
+// allocate: the step addresses live inline in the returned value. A
+// fault walk and a three-level 2MB walk take the same path.
+func TestWalkAllocatesNothing(t *testing.T) {
+	for _, ps := range []PageSize{Page4K, Page2M} {
+		pt := NewPageTable(NewFrameAllocator(16<<30), ps)
+		vpn, unmapped := ps.VPN(0x2000_0000_0000), ps.VPN(0x4000_0000_0000)
+		pt.Map(vpn, 7)
+		var w Walk
+		allocs := testing.AllocsPerRun(100, func() {
+			w = pt.Walk(vpn)
+			w = pt.Walk(unmapped) // faults below the root
+		})
+		if allocs != 0 {
+			t.Errorf("ps=%d: Walk made %.1f allocations per run, want 0", ps, allocs)
+		}
+		if w.OK || w.Levels == 0 {
+			t.Errorf("ps=%d: fault walk = %+v", ps, w)
+		}
 	}
 }
 
@@ -238,7 +260,7 @@ func TestWalkBoundedProperty(t *testing.T) {
 			vpn := VPN(rawVPN % (1 << 30))
 			pt.Map(vpn, 1)
 			w := pt.Walk(vpn)
-			return len(w.Steps) <= ps.WalkLevels() && w.OK
+			return w.Levels <= ps.WalkLevels() && w.OK
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 			t.Error(err)

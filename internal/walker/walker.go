@@ -126,6 +126,35 @@ type walkReq struct {
 	idx   int
 }
 
+// walkQueue is the FIFO of requests waiting for a free walker: a ring
+// over a power-of-two buffer that doubles when full. Dequeue is O(1)
+// and a drained queue's storage serves the next burst, so a saturated
+// walker pool allocates only while the queue reaches a new depth.
+type walkQueue struct {
+	buf  []*walkReq
+	head int
+	n    int // live entries
+}
+
+func (q *walkQueue) push(r *walkReq) {
+	if q.n == len(q.buf) {
+		buf := make([]*walkReq, max(2*len(q.buf), 16))
+		copied := copy(buf, q.buf[q.head:])
+		copy(buf[copied:], q.buf[:q.head])
+		q.buf, q.head = buf, 0
+	}
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = r
+	q.n++
+}
+
+func (q *walkQueue) pop() *walkReq {
+	r := q.buf[q.head]
+	q.buf[q.head] = nil
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
+	return r
+}
+
 // IOMMU is the translation agent of last resort before memory.
 type IOMMU struct {
 	eng   *sim.Engine
@@ -140,7 +169,7 @@ type IOMMU struct {
 	coal  *tlb.Coalescer
 
 	freeWalkers int
-	queue       []*walkReq
+	queue       walkQueue
 	reqPool     sim.Pool[walkReq]
 	stats       Stats
 	// stallUntil defers walks started before this cycle — the chaos
@@ -237,7 +266,6 @@ func (io *IOMMU) TranslateEvent(space *vm.AddrSpace, vpn vm.VPN, h tlb.EntryHand
 // put recycles a finished request, dropping the references it holds.
 func (io *IOMMU) put(r *walkReq) {
 	r.space = nil
-	r.walk = vm.Walk{}
 	io.reqPool.Put(r)
 }
 
@@ -268,21 +296,18 @@ func (io *IOMMU) enqueueWalk(r *walkReq) {
 		io.startWalk(r)
 		return
 	}
-	io.queue = append(io.queue, r)
-	if len(io.queue) > io.stats.MaxQueue {
-		io.stats.MaxQueue = len(io.queue)
+	io.queue.push(r)
+	if io.queue.n > io.stats.MaxQueue {
+		io.stats.MaxQueue = io.queue.n
 	}
 }
 
 func (io *IOMMU) releaseWalker() {
-	if len(io.queue) == 0 {
+	if io.queue.n == 0 {
 		io.freeWalkers++
 		return
 	}
-	next := io.queue[0]
-	io.queue[0] = nil
-	io.queue = io.queue[1:]
-	io.startWalk(next)
+	io.startWalk(io.queue.pop())
 }
 
 // walkerStart re-enters startWalk when a stall window closes.
@@ -307,26 +332,38 @@ func (io *IOMMU) startWalk(r *walkReq) {
 	if !r.walk.OK {
 		io.eng.Failf(sim.ErrPageFault, "walker: page fault for %s vpn=%#x — workloads must touch only allocated buffers", r.space.ID, vpn)
 	}
-	levels := len(r.walk.Steps)
+	r.idx = io.probePWC(pt, vpn, r.walk.Levels)
+	io.walkStep(r)
+}
 
-	// Deepest-first PWC probe. Prefix level L covers the first L radix
-	// indices; a hit there means the node for level L+1 is known.
-	startIdx := 0
+// probePWC probes the page-walk caches deepest first and returns how
+// many upper levels of a levels-deep walk the hit skips. Prefix level L
+// covers the first L radix indices; a hit there means the node for
+// level L+1 is known. 2MB pages walk 3 levels, so a "PMD" probe is
+// meaningless there, and prefix keys encode the level so the caches
+// never alias.
+func (io *IOMMU) probePWC(pt *vm.PageTable, vpn vm.VPN, levels int) int {
 	switch {
 	case levels >= 4 && io.pmd.probe(pt.PrefixKey(vpn, 3)):
-		startIdx = 3
+		return 3
 	case levels >= 3 && io.pud.probe(pt.PrefixKey(vpn, 2)):
-		startIdx = 2
+		return 2
 	case io.pgd.probe(pt.PrefixKey(vpn, 1)):
-		startIdx = 1
-	default:
-		io.stats.PWCMiss++
+		return 1
 	}
-	// 2MB pages walk 3 levels; a "PMD" probe is meaningless there, and
-	// prefix keys encode the level so the caches never alias.
+	io.stats.PWCMiss++
+	return 0
+}
 
-	r.idx = startIdx
-	io.walkStep(r)
+// fillPWC installs the prefixes a completed levels-deep walk resolved.
+func (io *IOMMU) fillPWC(pt *vm.PageTable, vpn vm.VPN, levels int) {
+	io.pgd.fill(pt.PrefixKey(vpn, 1))
+	if levels >= 3 {
+		io.pud.fill(pt.PrefixKey(vpn, 2))
+	}
+	if levels >= 4 {
+		io.pmd.fill(pt.PrefixKey(vpn, 3))
+	}
 }
 
 // walkerStepDone advances the walk after one level's memory reference.
@@ -337,7 +374,7 @@ func walkerStepDone(x any) {
 }
 
 func (io *IOMMU) walkStep(r *walkReq) {
-	if r.idx >= len(r.walk.Steps) {
+	if r.idx >= r.walk.Levels {
 		io.finishWalk(r)
 		return
 	}
@@ -353,14 +390,7 @@ func (io *IOMMU) walkStep(r *walkReq) {
 func (io *IOMMU) finishWalk(r *walkReq) {
 	vpn := r.vpn
 	pt := r.space.PageTable()
-	levels := len(r.walk.Steps)
-	io.pgd.fill(pt.PrefixKey(vpn, 1))
-	if levels >= 3 {
-		io.pud.fill(pt.PrefixKey(vpn, 2))
-	}
-	if levels >= 4 {
-		io.pmd.fill(pt.PrefixKey(vpn, 3))
-	}
+	io.fillPWC(pt, vpn, r.walk.Levels)
 	// Re-read the leaf at completion time instead of using the PFN
 	// captured when the walk started: a page migration that remapped the
 	// VPN while the walk's memory references were in flight is observed
@@ -403,34 +433,16 @@ func (io *IOMMU) WarmTranslate(space *vm.AddrSpace, vpn vm.VPN) tlb.Entry {
 	}
 	io.stats.Walks++
 	pt := space.PageTable()
-	// Lookup + WalkLevels replaces the detailed path's pt.Walk: a
-	// successful walk always reads one entry per level, and warming has
-	// no walker to feed the step addresses to, so the Steps allocation
-	// would be pure garbage on the hottest fast-forward path.
+	// A successful walk reads one entry per level, and warming issues no
+	// memory references, so the leaf lookup and the level count stand in
+	// for the step addresses.
 	pfn, ok := pt.Lookup(vpn)
 	if !ok {
 		io.eng.Failf(sim.ErrPageFault, "walker: page fault for %s vpn=%#x — workloads must touch only allocated buffers", space.ID, vpn)
 	}
 	levels := space.PageSize().WalkLevels()
-	startIdx := 0
-	switch {
-	case levels >= 4 && io.pmd.probe(pt.PrefixKey(vpn, 3)):
-		startIdx = 3
-	case levels >= 3 && io.pud.probe(pt.PrefixKey(vpn, 2)):
-		startIdx = 2
-	case io.pgd.probe(pt.PrefixKey(vpn, 1)):
-		startIdx = 1
-	default:
-		io.stats.PWCMiss++
-	}
-	io.stats.WalkSteps += uint64(levels - startIdx)
-	io.pgd.fill(pt.PrefixKey(vpn, 1))
-	if levels >= 3 {
-		io.pud.fill(pt.PrefixKey(vpn, 2))
-	}
-	if levels >= 4 {
-		io.pmd.fill(pt.PrefixKey(vpn, 3))
-	}
+	io.stats.WalkSteps += uint64(levels - io.probePWC(pt, vpn, levels))
+	io.fillPWC(pt, vpn, levels)
 	entry := tlb.Entry{Space: space.ID, VPN: vpn, PFN: pfn}
 	io.l2.Insert(entry)
 	io.l1.Insert(entry)
@@ -445,11 +457,4 @@ func (io *IOMMU) Shootdown(space vm.SpaceID, vpn vm.VPN) {
 	key := tlb.MakeKey(space, vpn)
 	io.l1.Invalidate(key)
 	io.l2.Invalidate(key)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -280,3 +280,86 @@ func TestDeviceL1FilledFromL2(t *testing.T) {
 		t.Error("device L1 never filled")
 	}
 }
+
+// eventMem is a fixed-latency memory with the allocation-free event
+// form, recording every address read in order.
+type eventMem struct {
+	eng     *sim.Engine
+	latency sim.Time
+	reads   []vm.PA
+}
+
+func (m *eventMem) Access(addr vm.PA, write bool, done func()) {
+	m.AccessEvent(addr, write, func(any) { done() }, nil)
+}
+
+func (m *eventMem) AccessEvent(addr vm.PA, write bool, h sim.Handler, ctx any) {
+	m.reads = append(m.reads, addr)
+	m.eng.AfterEvent(m.latency, h, ctx)
+}
+
+// TestWalkerQueueFIFO saturates the 32 walkers with two bursts of
+// distinct misses in one 2MB region. The first 32 walks miss every
+// page-walk cache and read their leaf PTEs together; every later walk
+// hits the PMD cache and reads only its leaf PTE as it starts, so the
+// order of leaf reads is the order walks started.
+func TestWalkerQueueFIFO(t *testing.T) {
+	const burst = 256
+	eng := sim.NewEngine()
+	// Sized up front so recording allocates nothing while measured.
+	mem := &eventMem{eng: eng, latency: 50, reads: make([]vm.PA, 0, 2*burst*vm.MaxWalkLevels)}
+	io := New(eng, DefaultConfig(), mem)
+	space := vm.NewAddrSpace(vm.SpaceID{}, vm.NewFrameAllocator(16<<30), vm.Page4K)
+	buf := space.Alloc("A", 4<<20)
+	base := (space.VPN(buf.Base) + 511) &^ 511 // first 2MB-aligned page
+	pt := space.PageTable()
+
+	done := 0
+	onDone := func(tlb.Entry) { done++ }
+	next := base
+	want := make([]vm.PA, 0, 2*burst)
+	issue := func() {
+		for i := 0; i < burst; i++ {
+			w := pt.Walk(next)
+			want = append(want, w.Steps[w.Levels-1])
+			io.Translate(space, next, onDone)
+			next++
+		}
+		eng.Run()
+	}
+
+	// The first call is AllocsPerRun's warm-up; the second, an equal
+	// burst of fresh pages after the drain, must reuse the queue's ring.
+	allocs := testing.AllocsPerRun(1, issue)
+	if done != 2*burst {
+		t.Fatalf("done = %d, want %d", done, 2*burst)
+	}
+	if allocs != 0 {
+		t.Errorf("second burst made %.0f allocations, want 0", allocs)
+	}
+	s := io.Stats()
+	if want := burst - DefaultConfig().NumWalkers; s.MaxQueue != want {
+		t.Errorf("MaxQueue = %d, want %d (misses - walkers)", s.MaxQueue, want)
+	}
+	if s.Walks != 2*burst {
+		t.Errorf("walks = %d, want %d", s.Walks, 2*burst)
+	}
+	var leaves []vm.PA
+	leaf := make(map[vm.PA]bool, len(want))
+	for _, pa := range want {
+		leaf[pa] = true
+	}
+	for _, pa := range mem.reads {
+		if leaf[pa] {
+			leaves = append(leaves, pa)
+		}
+	}
+	if len(leaves) != len(want) {
+		t.Fatalf("%d leaf reads, want %d", len(leaves), len(want))
+	}
+	for i := range want {
+		if leaves[i] != want[i] {
+			t.Fatalf("walk %d started out of arrival order: leaf read %#x, want %#x", i, leaves[i], want[i])
+		}
+	}
+}
