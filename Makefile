@@ -9,6 +9,9 @@
 #                     bash perfbench/run.sh)
 #   make bench-smoke  one-iteration pass over every benchmark (CI keeps them
 #                     compiling and running; no stable numbers expected)
+#   make allocs       the core allocation budgets (-v, so each prints its
+#                     measurement), then the heap-profile top allocation sites
+#                     of GUPS/ic+lds@0.05 at -memprofilerate 1
 #   make perfbench-selftest
 #                     the repository benchmark's own tests at tiny scale
 #                     (perfbench/ is a separate module, so tier1 skips it)
@@ -38,7 +41,7 @@ GO ?= go
 
 .DEFAULT_GOAL := tier1
 
-.PHONY: tier1 tier2 lint bench bench-smoke perfbench-selftest exp-smoke sweep-smoke chaos-smoke sample-smoke serve-smoke shard-smoke coverage loc
+.PHONY: tier1 tier2 lint bench bench-smoke allocs perfbench-selftest exp-smoke sweep-smoke chaos-smoke sample-smoke serve-smoke shard-smoke coverage loc
 
 tier1:
 	$(GO) build ./...
@@ -59,6 +62,13 @@ bench:
 
 bench-smoke:
 	$(GO) test -bench=. -benchtime 1x -benchmem -run NONE ./internal/sim/
+
+allocs:
+	$(GO) test -count=1 -v -run 'TestFullDetailRunAllocBudget|TestNewSystemByteBudget' ./internal/core/
+	mkdir -p .allocs
+	$(GO) test -count=1 -run 'TestFullDetailRunAllocBudget/GUPS' -memprofilerate 1 \
+		-memprofile $(CURDIR)/.allocs/mem.out -o $(CURDIR)/.allocs/core.test ./internal/core/
+	$(GO) tool pprof -sample_index=alloc_space -top .allocs/core.test .allocs/mem.out
 
 perfbench-selftest:
 	cd perfbench && $(GO) test ./...

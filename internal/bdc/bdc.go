@@ -18,7 +18,7 @@ import (
 )
 
 // MaxSlots bounds a group's capacity. Fixed-size backing arrays keep a
-// group inline in its owning segment or cache line — one dependent
+// group inline in the array or cache line that owns it — one dependent
 // load instead of three — which matters because every victim-structure
 // probe scans one. The paper's geometries need at most 8 slots
 // (I-cache sub-ways) and 6 (64-byte LDS segments).

@@ -13,30 +13,12 @@ import (
 	"gpureach/internal/vm"
 )
 
-// Memory is anything that can service a physical-address access and call
-// done when the data is available (or, for writes, accepted).
+// Memory is anything that can service a physical-address access: h(ctx)
+// runs when the data is available (or, for writes, accepted). The
+// (Handler, ctx) completion keeps an access allocation-free; Cache and
+// dram.DRAM implement it.
 type Memory interface {
-	Access(addr vm.PA, write bool, done func())
-}
-
-// EventMemory is the allocation-free form of Memory: completion is a
-// (Handler, ctx) pair instead of a captured closure. The production
-// memories (Cache, dram.DRAM) implement it; consumers probe for it
-// once at construction and fall back to Access for plain Memory
-// implementations (test fakes).
-type EventMemory interface {
-	Memory
 	AccessEvent(addr vm.PA, write bool, h sim.Handler, ctx any)
-}
-
-// accessEvent routes one access through em when available, else
-// through the closure-based m (ev and m refer to the same backend).
-func accessEvent(m Memory, em EventMemory, addr vm.PA, write bool, h sim.Handler, ctx any) {
-	if em != nil {
-		em.AccessEvent(addr, write, h, ctx)
-		return
-	}
-	m.Access(addr, write, func() { h(ctx) })
 }
 
 // Stats counts cache events.
@@ -83,27 +65,27 @@ func lineTag(lineAddr uint64, dirty bool) uint64 {
 
 // waiter is one request merged onto an in-flight miss. Each waiter
 // keeps its own write flag: the line is filled (or re-dirtied) once per
-// requester, exactly as the closure-based MSHR did.
+// requester.
 type waiter struct {
 	h     sim.Handler
 	ctx   any
 	write bool
 }
 
-// miss is the pooled context of one outstanding miss group.
+// miss is the pooled event context of one outstanding miss: it carries
+// the line through the tag probe and the parent access. The merged
+// requesters wait in the cache's mshr table, keyed by line.
 type miss struct {
-	c       *Cache
-	la      uint64
-	addr    vm.PA
-	waiters []waiter
+	c    *Cache
+	la   uint64
+	addr vm.PA
 }
 
 // Cache is one level of the data hierarchy.
 type Cache struct {
-	name     string
-	eng      *sim.Engine
-	parent   Memory
-	parentEv EventMemory // parent, when it supports the event form
+	name   string
+	eng    *sim.Engine
+	parent Memory
 	// lines holds all sets contiguously: set s is lines[s*ways:(s+1)*ways].
 	lines      []line
 	numSets    uint64
@@ -112,7 +94,7 @@ type Cache struct {
 	hitLatency sim.Time
 	port       *sim.Port
 	clock      uint64
-	mshr       map[uint64]*miss
+	mshr       sim.Waiters[uint64, waiter]
 	missPool   sim.Pool[miss]
 	stats      Stats
 }
@@ -147,7 +129,7 @@ func New(eng *sim.Engine, cfg Config, parent Memory) *Cache {
 		panic(fmt.Sprintf("cache %q: line size %d not a power of two", cfg.Name, cfg.LineBytes))
 	}
 	numSets := lines / cfg.Ways
-	c := &Cache{
+	return &Cache{
 		name:       cfg.Name,
 		eng:        eng,
 		parent:     parent,
@@ -157,10 +139,7 @@ func New(eng *sim.Engine, cfg Config, parent Memory) *Cache {
 		port:       sim.NewPort(eng, cfg.PortInterval),
 		lines:      make([]line, lines),
 		numSets:    uint64(numSets),
-		mshr:       make(map[uint64]*miss),
 	}
-	c.parentEv, _ = parent.(EventMemory)
-	return c
 }
 
 // Name returns the cache's diagnostic name.
@@ -201,18 +180,6 @@ func findWay(set []line, lineAddr uint64) int {
 	return -1
 }
 
-// Access requests the line containing addr. done runs when the access
-// completes (after hit latency on a hit; after the miss resolves through
-// the parent otherwise). Writes mark the line dirty; dirty victims are
-// written back to the parent asynchronously.
-func (c *Cache) Access(addr vm.PA, write bool, done func()) {
-	c.AccessEvent(addr, write, callClosure, done)
-}
-
-// callClosure adapts the closure-style Access API onto the handler
-// form: the func value rides in the ctx word.
-func callClosure(ctx any) { ctx.(func())() }
-
 // nop discards a completion (fire-and-forget writebacks).
 func nop(any) {}
 
@@ -220,29 +187,27 @@ func nop(any) {}
 // probe completes.
 func missStart(x any) {
 	m := x.(*miss)
-	accessEvent(m.c.parent, m.c.parentEv, m.addr, false, missDone, m)
+	m.c.parent.AccessEvent(m.addr, false, missDone, m)
 }
 
 // missDone drains an MSHR entry: fill once per requester (each with its
 // own write intent), then complete them in merge order.
 func missDone(x any) {
 	m := x.(*miss)
-	c := m.c
-	delete(c.mshr, m.la)
-	for i := range m.waiters {
-		c.fill(m.la, m.waiters[i].write)
-		m.waiters[i].h(m.waiters[i].ctx)
-	}
-	for i := range m.waiters {
-		m.waiters[i] = waiter{} // release ctx refs before pooling
-	}
-	m.waiters = m.waiters[:0]
+	c, la := m.c, m.la
 	m.c = nil
 	c.missPool.Put(m)
+	l, _ := c.mshr.Take(la)
+	for w, ok := c.mshr.Pop(&l); ok; w, ok = c.mshr.Pop(&l) {
+		c.fill(la, w.write)
+		w.h(w.ctx)
+	}
 }
 
-// AccessEvent is the allocation-free form of Access: h(ctx) runs at
-// completion time.
+// AccessEvent requests the line containing addr; h(ctx) runs when the
+// access completes (after hit latency on a hit; after the miss resolves
+// through the parent otherwise). Writes mark the line dirty; dirty
+// victims are written back to the parent asynchronously.
 func (c *Cache) AccessEvent(addr vm.PA, write bool, h sim.Handler, ctx any) {
 	grant := c.port.Acquire()
 	la := c.lineAddr(addr)
@@ -261,8 +226,7 @@ func (c *Cache) AccessEvent(addr vm.PA, write bool, h sim.Handler, ctx any) {
 	}
 
 	c.stats.Misses++
-	if m, busy := c.mshr[la]; busy {
-		m.waiters = append(m.waiters, waiter{h: h, ctx: ctx, write: write})
+	if !c.mshr.Wait(la, waiter{h: h, ctx: ctx, write: write}) {
 		c.stats.MergedMiss++
 		return
 	}
@@ -270,8 +234,6 @@ func (c *Cache) AccessEvent(addr vm.PA, write bool, h sim.Handler, ctx any) {
 	m.c = c
 	m.la = la
 	m.addr = addr
-	m.waiters = append(m.waiters, waiter{h: h, ctx: ctx, write: write})
-	c.mshr[la] = m
 	c.eng.AtEvent(grant+c.hitLatency, missStart, m)
 }
 
@@ -312,7 +274,7 @@ func (c *Cache) fill(lineAddr uint64, dirty bool) {
 func (c *Cache) writeback(tag uint64) {
 	c.stats.Writebacks++
 	addr := vm.PA(tag >> lineTagShift << c.lineBits)
-	accessEvent(c.parent, c.parentEv, addr, true, nop, nil)
+	c.parent.AccessEvent(addr, true, nop, nil)
 }
 
 // Contains reports whether the line holding addr is resident (no LRU or
@@ -333,4 +295,4 @@ func (c *Cache) Flush() {
 func (c *Cache) LineBytes() int { return 1 << c.lineBits }
 
 // Inflight returns the number of outstanding miss groups (diagnostics).
-func (c *Cache) Inflight() int { return len(c.mshr) }
+func (c *Cache) Inflight() int { return c.mshr.Len() }

@@ -17,7 +17,7 @@ type fakeMem struct {
 	written  []vm.PA
 }
 
-func (m *fakeMem) Access(addr vm.PA, write bool, done func()) {
+func (m *fakeMem) AccessEvent(addr vm.PA, write bool, h sim.Handler, ctx any) {
 	if write {
 		m.writes++
 		m.written = append(m.written, addr)
@@ -25,8 +25,15 @@ func (m *fakeMem) Access(addr vm.PA, write bool, done func()) {
 		m.reads++
 	}
 	m.accesses = append(m.accesses, addr)
-	m.eng.After(m.latency, done)
+	m.eng.AfterEvent(m.latency, h, ctx)
 }
+
+// access is AccessEvent with a closure completion, for tests.
+func access(m Memory, addr vm.PA, write bool, done func()) {
+	m.AccessEvent(addr, write, runFunc, done)
+}
+
+func runFunc(ctx any) { ctx.(func())() }
 
 func newDUT(t *testing.T) (*sim.Engine, *Cache, *fakeMem) {
 	t.Helper()
@@ -42,9 +49,9 @@ func newDUT(t *testing.T) (*sim.Engine, *Cache, *fakeMem) {
 func TestMissThenHitLatency(t *testing.T) {
 	eng, c, mem := newDUT(t)
 	var missT, hitT sim.Time
-	c.Access(0, false, func() { missT = eng.Now() })
+	access(c, 0, false, func() { missT = eng.Now() })
 	eng.Run()
-	c.Access(32, false, func() { hitT = eng.Now() }) // same 64B line
+	access(c, 32, false, func() { hitT = eng.Now() }) // same 64B line
 	start := missT
 	eng.Run()
 	if missT < 104 {
@@ -65,9 +72,9 @@ func TestMissThenHitLatency(t *testing.T) {
 func TestMSHRMergesConcurrentMisses(t *testing.T) {
 	eng, c, mem := newDUT(t)
 	done := 0
-	c.Access(0, false, func() { done++ })
-	c.Access(8, false, func() { done++ })  // same line, in flight
-	c.Access(48, false, func() { done++ }) // same line
+	access(c, 0, false, func() { done++ })
+	access(c, 8, false, func() { done++ })  // same line, in flight
+	access(c, 48, false, func() { done++ }) // same line
 	eng.Run()
 	if done != 3 {
 		t.Fatalf("done = %d", done)
@@ -83,11 +90,11 @@ func TestMSHRMergesConcurrentMisses(t *testing.T) {
 func TestWritebackOnDirtyEviction(t *testing.T) {
 	eng, c, mem := newDUT(t)
 	// 1024B/64B = 16 lines, 2 ways → 8 sets. Lines 0, 8, 16 (×64B) share set 0.
-	c.Access(0, true, func() {}) // dirty
+	access(c, 0, true, func() {}) // dirty
 	eng.Run()
-	c.Access(8*64, false, func() {})
+	access(c, 8*64, false, func() {})
 	eng.Run()
-	c.Access(16*64, false, func() {}) // evicts line 0 (LRU, dirty)
+	access(c, 16*64, false, func() {}) // evicts line 0 (LRU, dirty)
 	eng.Run()
 	if mem.writes != 1 {
 		t.Errorf("parent writes = %d, want 1 writeback", mem.writes)
@@ -105,7 +112,7 @@ func TestCleanEvictionNoWriteback(t *testing.T) {
 	// Line 0 is read twice (a miss, then a hit) before 8*64 and 16*64
 	// evict it; Flush then drops those two, also only read.
 	for _, a := range []vm.PA{0, 0, 8 * 64, 16 * 64} {
-		c.Access(a, false, func() {})
+		access(c, a, false, func() {})
 		eng.Run()
 	}
 	if c.Stats().Hits != 1 || c.Stats().Evictions != 1 {
@@ -120,14 +127,14 @@ func TestCleanEvictionNoWriteback(t *testing.T) {
 
 func TestLRUWithinSet(t *testing.T) {
 	eng, c, _ := newDUT(t)
-	c.Access(0, false, func() {})
+	access(c, 0, false, func() {})
 	eng.Run()
-	c.Access(8*64, false, func() {})
+	access(c, 8*64, false, func() {})
 	eng.Run()
 	// Touch line 0 again: line 8*64 is now LRU.
-	c.Access(0, false, func() {})
+	access(c, 0, false, func() {})
 	eng.Run()
-	c.Access(16*64, false, func() {})
+	access(c, 16*64, false, func() {})
 	eng.Run()
 	if !c.Contains(0) {
 		t.Error("MRU line evicted")
@@ -139,8 +146,8 @@ func TestLRUWithinSet(t *testing.T) {
 
 func TestFlushWritesBackDirty(t *testing.T) {
 	eng, c, mem := newDUT(t)
-	c.Access(0, true, func() {})
-	c.Access(64, false, func() {})
+	access(c, 0, true, func() {})
+	access(c, 64, false, func() {})
 	eng.Run()
 	c.Flush()
 	eng.Run()
@@ -155,12 +162,12 @@ func TestFlushWritesBackDirty(t *testing.T) {
 func TestPortSerializesAccesses(t *testing.T) {
 	eng, c, _ := newDUT(t)
 	// Warm two lines.
-	c.Access(0, false, func() {})
-	c.Access(64, false, func() {})
+	access(c, 0, false, func() {})
+	access(c, 64, false, func() {})
 	eng.Run()
 	var t1, t2 sim.Time
-	c.Access(0, false, func() { t1 = eng.Now() })
-	c.Access(64, false, func() { t2 = eng.Now() })
+	access(c, 0, false, func() { t1 = eng.Now() })
+	access(c, 64, false, func() { t2 = eng.Now() })
 	eng.Run()
 	if t2 != t1+1 {
 		t.Errorf("port interval not respected: %d then %d", t1, t2)
@@ -174,20 +181,20 @@ func TestHierarchyComposition(t *testing.T) {
 	l1 := New(eng, Config{Name: "l1", SizeBytes: 512, LineBytes: 64, Ways: 2, HitLatency: 4, PortInterval: 1}, l2)
 
 	var coldT sim.Time
-	l1.Access(0, false, func() { coldT = eng.Now() })
+	access(l1, 0, false, func() { coldT = eng.Now() })
 	eng.Run()
 	if coldT < 224 {
 		t.Errorf("cold access = %d, want ≥ 4+20+200", coldT)
 	}
 	// Evict from L1 (512B/64 = 8 lines, 2 ways → 4 sets; 0, 256, 512 share set 0).
-	l1.Access(256, false, func() {})
+	access(l1, 256, false, func() {})
 	eng.Run()
-	l1.Access(512, false, func() {})
+	access(l1, 512, false, func() {})
 	eng.Run()
 	// Line 0 gone from L1 but still in L2: medium latency.
 	start := eng.Now()
 	var warmT sim.Time
-	l1.Access(0, false, func() { warmT = eng.Now() })
+	access(l1, 0, false, func() { warmT = eng.Now() })
 	eng.Run()
 	lat := warmT - start
 	if lat < 24 || lat >= 200 {
@@ -234,7 +241,7 @@ func TestHashedSetsRetainLines(t *testing.T) {
 	// Strided addresses that would all collide under modulo indexing.
 	for i := 0; i < 64; i++ {
 		addr := vm.PA(i * 4096 * 8)
-		c.Access(addr, false, func() {})
+		access(c, addr, false, func() {})
 		eng.Run()
 		if !c.Contains(addr) {
 			t.Fatalf("line %d lost immediately after fill", i)
@@ -274,9 +281,9 @@ func TestPackedLineWritebackAddress(t *testing.T) {
 	top := vm.PA(8<<30 - 64)
 	for _, flush := range []bool{false, true} {
 		eng, c, mem := newDUT(t)
-		c.Access(top+8, true, func() {})
+		access(c, top+8, true, func() {})
 		eng.Run()
-		c.Access(top, false, func() {}) // the dirty line still hits
+		access(c, top, false, func() {}) // the dirty line still hits
 		eng.Run()
 		if c.Stats().Hits != 1 {
 			t.Fatalf("flush=%v: hits = %d after the dirty fill, want 1", flush, c.Stats().Hits)
@@ -285,7 +292,7 @@ func TestPackedLineWritebackAddress(t *testing.T) {
 			c.Flush()
 		} else {
 			for _, a := range sameSet(c, top, 2) { // 2 ways: the second evicts top
-				c.Access(a, false, func() {})
+				access(c, a, false, func() {})
 				eng.Run()
 			}
 		}
@@ -304,8 +311,8 @@ func TestPackedLineWritebackAddress(t *testing.T) {
 func TestMergedWriteLeavesLineDirty(t *testing.T) {
 	for _, first := range []bool{false, true} {
 		eng, c, mem := newDUT(t)
-		c.Access(0, first, func() {})
-		c.Access(8, !first, func() {}) // same line, merged
+		access(c, 0, first, func() {})
+		access(c, 8, !first, func() {}) // same line, merged
 		eng.Run()
 		if c.Stats().MergedMiss != 1 {
 			t.Fatalf("MergedMiss = %d, want 1", c.Stats().MergedMiss)

@@ -47,7 +47,6 @@ type slot struct {
 // 8-byte load through the LLC and a fill one store.
 type Store struct {
 	mem     cache.Memory
-	memEv   cache.EventMemory // mem, when it supports the event form
 	base    vm.PA
 	slots   []slot
 	reqPool sim.Pool[lookupReq]
@@ -72,9 +71,7 @@ func New(mem cache.Memory, base vm.PA, entries int) *Store {
 	if entries <= 0 {
 		panic("ducati: need at least one slot")
 	}
-	s := &Store{mem: mem, base: base, slots: make([]slot, entries)}
-	s.memEv, _ = mem.(cache.EventMemory)
-	return s
+	return &Store{mem: mem, base: base, slots: make([]slot, entries)}
 }
 
 // Capacity returns the number of slots.
@@ -112,11 +109,7 @@ func (s *Store) LookupEvent(key tlb.Key, h LookupHandler, ctx any) {
 	r.i = i
 	r.h = h
 	r.ctx = ctx
-	if s.memEv != nil {
-		s.memEv.AccessEvent(s.slotAddr(i), false, lookupDone, r)
-		return
-	}
-	s.mem.Access(s.slotAddr(i), false, func() { lookupDone(r) })
+	s.mem.AccessEvent(s.slotAddr(i), false, lookupDone, r)
 }
 
 // lookupDone inspects the probed slot once the LLC read returns.
@@ -149,11 +142,7 @@ func (s *Store) Fill(e tlb.Entry) {
 	}
 	s.slots[i] = slot{key: key, entry: e, valid: true}
 	s.stats.Fills++
-	if s.memEv != nil {
-		s.memEv.AccessEvent(s.slotAddr(i), true, nop, nil)
-		return
-	}
-	s.mem.Access(s.slotAddr(i), true, func() {})
+	s.mem.AccessEvent(s.slotAddr(i), true, nop, nil)
 }
 
 // WarmFill is the functional-warming form of Fill used by sampled

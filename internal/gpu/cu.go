@@ -86,12 +86,11 @@ type CU struct {
 	cfg Config
 	sys *System
 
-	LDS      *lds.LDS
-	IC       *icache.ICache
-	ICBack   cache.Memory      // services I-cache misses (the shared L2)
-	icBackEv cache.EventMemory // ICBack, when it supports the event form
-	L1D      *cache.Cache
-	Xlat     *Xlat
+	LDS    *lds.LDS
+	IC     *icache.ICache
+	ICBack cache.Memory // services I-cache misses (the shared L2)
+	L1D    *cache.Cache
+	Xlat   *Xlat
 
 	simds       []*simdUnit
 	activeWaves int
@@ -153,7 +152,6 @@ func NewCU(eng *sim.Engine, id int, cfg Config, ldsUnit *lds.LDS, ic *icache.ICa
 		L1D:    l1d,
 		Xlat:   xlat,
 	}
-	cu.icBackEv, _ = icBack.(cache.EventMemory)
 	for i := 0; i < cfg.SIMDsPerCU; i++ {
 		cu.simds = append(cu.simds, &simdUnit{issue: sim.NewPort(eng, 1)})
 	}
@@ -238,11 +236,7 @@ func prefetchStart(x any) {
 		cu.putFetch(r)
 		return
 	}
-	if cu.icBackEv != nil {
-		cu.icBackEv.AccessEvent(r.addr, false, prefetchDone, r)
-		return
-	}
-	cu.ICBack.Access(r.addr, false, func() { prefetchDone(r) })
+	cu.ICBack.AccessEvent(r.addr, false, prefetchDone, r)
 }
 
 // prefetchDone installs a completed background prefetch and wakes any
@@ -266,11 +260,7 @@ func fetchMissStart(x any) {
 		cu.IC.WaitFill(r.addr, fetchMergedDone, r)
 		return
 	}
-	if cu.icBackEv != nil {
-		cu.icBackEv.AccessEvent(r.addr, false, fetchMissDone, r)
-		return
-	}
-	cu.ICBack.Access(r.addr, false, func() { fetchMissDone(r) })
+	cu.ICBack.AccessEvent(r.addr, false, fetchMissDone, r)
 }
 
 // fetchMissDone installs the demand line, wakes merged requesters, then

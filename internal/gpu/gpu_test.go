@@ -30,9 +30,9 @@ type stubMem struct {
 	accesses int
 }
 
-func (m *stubMem) Access(addr vm.PA, write bool, done func()) {
+func (m *stubMem) AccessEvent(addr vm.PA, write bool, h sim.Handler, ctx any) {
 	m.accesses++
-	m.eng.After(m.latency, done)
+	m.eng.AfterEvent(m.latency, h, ctx)
 }
 
 func newRig(t *testing.T, cfg Config, useLDS, useIC bool) *testRig {

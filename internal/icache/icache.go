@@ -154,9 +154,7 @@ type ICache struct {
 	// first fetch unit to miss on a line owns the backing fetch; later
 	// requesters for the same line merge onto it instead of multiplying
 	// L2 traffic.
-	fills map[uint64][]fillWaiter
-	// freeWaiters recycles drained waiter slices.
-	freeWaiters [][]fillWaiter
+	fills sim.Waiters[uint64, fillWaiter]
 
 	fillsThisKernel uint64
 	lastKernel      string
@@ -178,10 +176,9 @@ func New(eng *sim.Engine, cfg Config) *ICache {
 		panic("icache: lines not divisible by ways")
 	}
 	c := &ICache{
-		cfg:   cfg,
-		eng:   eng,
-		port:  sim.NewPort(eng, cfg.PortInterval),
-		fills: make(map[uint64][]fillWaiter),
+		cfg:  cfg,
+		eng:  eng,
+		port: sim.NewPort(eng, cfg.PortInterval),
 	}
 	numSets := lines / cfg.Ways
 	c.sets = make([][]line, numSets)
@@ -336,8 +333,7 @@ func (c *ICache) FillInstr(addr vm.PA) {
 // already in flight.
 func (c *ICache) FillPending(addr vm.PA) bool {
 	_, la := c.instrSet(addr)
-	_, busy := c.fills[la]
-	return busy
+	return c.fills.Busy(la)
 }
 
 // StartFill claims ownership of the backing fetch for addr's line. It
@@ -346,29 +342,17 @@ func (c *ICache) FillPending(addr vm.PA) bool {
 // (merge onto it with WaitFill).
 func (c *ICache) StartFill(addr vm.PA) bool {
 	_, la := c.instrSet(addr)
-	if _, busy := c.fills[la]; busy {
-		return false
-	}
-	var ws []fillWaiter
-	if n := len(c.freeWaiters); n > 0 {
-		ws = c.freeWaiters[n-1]
-		c.freeWaiters[n-1] = nil
-		c.freeWaiters = c.freeWaiters[:n-1]
-	}
-	c.fills[la] = ws
-	return true
+	return c.fills.Open(la)
 }
 
 // WaitFill registers h(ctx) to run when the in-flight fill for addr's
 // line completes. The caller must have seen StartFill return false.
 func (c *ICache) WaitFill(addr vm.PA, h sim.Handler, ctx any) {
 	_, la := c.instrSet(addr)
-	ws, busy := c.fills[la]
-	if !busy {
+	if c.fills.Wait(la, fillWaiter{h: h, ctx: ctx}) {
 		//gpureach:allow simerr -- WaitFill without StartFill is a fetch-unit wiring bug, caught by the first merged fetch of any run
 		panic("icache: WaitFill without an in-flight fill")
 	}
-	c.fills[la] = append(ws, fillWaiter{h: h, ctx: ctx})
 }
 
 // CompleteFill installs the fetched line and wakes every merged waiter
@@ -378,23 +362,15 @@ func (c *ICache) WaitFill(addr vm.PA, h sim.Handler, ctx any) {
 func (c *ICache) CompleteFill(addr vm.PA) {
 	c.FillInstr(addr)
 	_, la := c.instrSet(addr)
-	ws, busy := c.fills[la]
-	if !busy {
-		return
+	l, _ := c.fills.Take(la)
+	for w, ok := c.fills.Pop(&l); ok; w, ok = c.fills.Pop(&l) {
+		w.h(w.ctx)
 	}
-	delete(c.fills, la)
-	for i := range ws {
-		ws[i].h(ws[i].ctx)
-	}
-	for i := range ws {
-		ws[i] = fillWaiter{} // release ctx refs before recycling
-	}
-	c.freeWaiters = append(c.freeWaiters, ws[:0])
 }
 
 // FillsInflight returns the number of lines with an in-flight fill
 // (diagnostics).
-func (c *ICache) FillsInflight() int { return len(c.fills) }
+func (c *ICache) FillsInflight() int { return c.fills.Len() }
 
 // --- translation side ---------------------------------------------------
 

@@ -102,19 +102,20 @@ type Stats struct {
 	Shootdowns         uint64
 }
 
-// segment is one reconfigurable LDS segment. All per-way state is
-// inline (value-type tag group, fixed arrays sized bdc.MaxSlots): a
-// victim-store probe touches one contiguous struct instead of chasing
-// five heap pointers, which is what the fast-forward warming loop —
-// and every detailed Tx access — actually pays for.
+// segment is one reconfigurable LDS segment: its mode and owner. Its
+// Tx-mode state lives in the LDS's tags and ways arrays, which exist
+// only once some segment has entered Tx-mode.
 type segment struct {
-	mode   Mode
-	wg     int // owning work-group when LDSMode
-	tags   bdc.Group
-	pfns   [bdc.MaxSlots]vm.PFN
-	spaces [bdc.MaxSlots]vm.SpaceID
-	vpns   [bdc.MaxSlots]vm.VPN
-	stamps [bdc.MaxSlots]uint64
+	mode Mode
+	wg   int // owning work-group when LDSMode
+}
+
+// txWay is one translation way of a Tx-mode segment.
+type txWay struct {
+	pfn   vm.PFN
+	vpn   vm.VPN
+	stamp uint64
+	space vm.SpaceID
 }
 
 type allocation struct {
@@ -129,9 +130,17 @@ type LDS struct {
 	eng      *sim.Engine
 	port     *sim.Port
 	segments []segment
-	allocs   []allocation
-	clock    uint64
-	stats    Stats
+	// Tx-mode state, allocated when the first segment enters Tx-mode
+	// (a run whose LDS never holds a translation never pays for it):
+	// segment i's compressed tags are tags[i] and its translation ways
+	// ways[i*nways:(i+1)*nways], so a probe reads one group and one
+	// contiguous run of ways.
+	tags   []bdc.Group
+	ways   []txWay
+	nways  int
+	allocs []allocation
+	clock  uint64
+	stats  Stats
 }
 
 // New builds an LDS on engine eng.
@@ -144,12 +153,38 @@ func New(eng *sim.Engine, cfg Config) *LDS {
 		panic("lds: segment too small for any translation way")
 	}
 	n := cfg.SizeBytes / cfg.SegmentBytes
-	l := &LDS{cfg: cfg, eng: eng, port: sim.NewPort(eng, cfg.PortInterval), segments: make([]segment, n)}
-	for i := range l.segments {
-		l.segments[i] = segment{tags: bdc.NewGroup(ways, 16, 16)}
-	}
-	return l
+	return &LDS{cfg: cfg, eng: eng, port: sim.NewPort(eng, cfg.PortInterval), segments: make([]segment, n), nways: ways}
 }
+
+// allocTx builds the Tx-mode arrays on the first Free→TxMode switch.
+func (l *LDS) allocTx() {
+	l.tags = make([]bdc.Group, len(l.segments))
+	for i := range l.tags {
+		l.tags[i] = bdc.NewGroup(l.nways, 16, 16)
+	}
+	l.ways = make([]txWay, len(l.segments)*l.nways)
+}
+
+// segWays returns segment i's translation ways.
+func (l *LDS) segWays(i int) []txWay { return l.ways[i*l.nways : (i+1)*l.nways] }
+
+// find returns the way of Tx-mode segment i holding key, or -1.
+// Compressed tags may alias, so a tag match is confirmed against the
+// stored full key, as hardware's full compare against the stored VPN
+// bits does.
+func (l *LDS) find(i int, key tlb.Key) int {
+	w := l.tags[i].Find(l.tagValue(key))
+	if w < 0 {
+		return -1
+	}
+	if way := &l.ways[i*l.nways+w]; tlb.MakeKey(way.space, way.vpn) != key {
+		return -1
+	}
+	return w
+}
+
+// entry returns the translation w holds.
+func (w *txWay) entry() tlb.Entry { return tlb.Entry{Space: w.space, VPN: w.vpn, PFN: w.pfn} }
 
 // Config returns the LDS configuration.
 func (l *LDS) Config() Config { return l.cfg }
@@ -206,8 +241,8 @@ func (l *LDS) AllocWorkgroup(wg int, bytes int) bool {
 			start := i - need + 1
 			for j := start; j <= i; j++ {
 				if l.segments[j].mode == TxMode {
-					l.stats.TxLostToAlloc += uint64(l.segments[j].tags.Live())
-					l.segments[j].tags.Clear()
+					l.stats.TxLostToAlloc += uint64(l.tags[j].Live())
+					l.tags[j].Clear()
 				}
 				l.segments[j].mode = LDSMode
 				l.segments[j].wg = wg
@@ -268,14 +303,13 @@ func (l *LDS) AllocatedBytes() int {
 // FreeTxCapacity returns how many additional translations the LDS could
 // hold right now (Fig 15's "entries gained" accounting).
 func (l *LDS) FreeTxCapacity() int {
-	ways := l.cfg.TxWaysPerSegment()
 	n := 0
 	for i := range l.segments {
 		switch l.segments[i].mode {
 		case Free:
-			n += ways
+			n += l.nways
 		case TxMode:
-			n += ways - l.segments[i].tags.Live()
+			n += l.nways - l.tags[i].Live()
 		}
 	}
 	return n
@@ -286,7 +320,7 @@ func (l *LDS) TxResident() int {
 	n := 0
 	for i := range l.segments {
 		if l.segments[i].mode == TxMode {
-			n += l.segments[i].tags.Live()
+			n += l.tags[i].Live()
 		}
 	}
 	return n
@@ -326,23 +360,19 @@ func (l *LDS) WarmTxLookup(key tlb.Key) (tlb.Entry, bool) {
 // detailed and warming forms.
 func (l *LDS) txLookup(key tlb.Key) (tlb.Entry, bool) {
 	l.stats.TxLookups++
-	seg := &l.segments[l.segIndex(key)]
-	if seg.mode != TxMode {
+	i := l.segIndex(key)
+	if l.segments[i].mode != TxMode {
 		return tlb.Entry{}, false
 	}
-	w := seg.tags.Find(l.tagValue(key))
+	w := l.find(i, key)
 	if w < 0 {
 		return tlb.Entry{}, false
 	}
-	// Full-key verification: compressed tags may alias; hardware's full
-	// compare happens against the stored VPN bits.
-	if tlb.MakeKey(seg.spaces[w], seg.vpns[w]) != key {
-		return tlb.Entry{}, false
-	}
+	way := &l.segWays(i)[w]
 	l.clock++
-	seg.stamps[w] = l.clock
+	way.stamp = l.clock
 	l.stats.TxHits++
-	return tlb.Entry{Space: seg.spaces[w], VPN: seg.vpns[w], PFN: seg.pfns[w]}, true
+	return way.entry(), true
 }
 
 // TxProbe reports whether key is resident right now, with no port,
@@ -351,15 +381,15 @@ func (l *LDS) txLookup(key tlb.Key) (tlb.Entry, bool) {
 // been shot down or reclaimed mid-access), and the internal/check
 // probes use it for absence checks after a shootdown.
 func (l *LDS) TxProbe(key tlb.Key) (tlb.Entry, bool) {
-	seg := &l.segments[l.segIndex(key)]
-	if seg.mode != TxMode {
+	i := l.segIndex(key)
+	if l.segments[i].mode != TxMode {
 		return tlb.Entry{}, false
 	}
-	w := seg.tags.Find(l.tagValue(key))
-	if w < 0 || tlb.MakeKey(seg.spaces[w], seg.vpns[w]) != key {
+	w := l.find(i, key)
+	if w < 0 {
 		return tlb.Entry{}, false
 	}
-	return tlb.Entry{Space: seg.spaces[w], VPN: seg.vpns[w], PFN: seg.pfns[w]}, true
+	return l.segWays(i)[w].entry(), true
 }
 
 // TxInsert offers entry e to the victim store (an L1-TLB eviction,
@@ -370,32 +400,35 @@ func (l *LDS) TxProbe(key tlb.Key) (tlb.Entry, bool) {
 //     not compress.
 func (l *LDS) TxInsert(e tlb.Entry) (victim tlb.Entry, hasVictim, inserted bool) {
 	key := e.Key()
-	seg := &l.segments[l.segIndex(key)]
+	i := l.segIndex(key)
+	seg := &l.segments[i]
 	switch seg.mode {
 	case LDSMode:
 		l.stats.TxBypassLDSMode++
 		return tlb.Entry{}, false, false
 	case Free:
+		if l.tags == nil {
+			l.allocTx()
+		}
 		seg.mode = TxMode
-		seg.tags.Clear()
+		l.tags[i].Clear()
 	}
 	l.port.Acquire() // fills consume port bandwidth
 
-	tag := l.tagValue(key)
-	ways := l.cfg.TxWaysPerSegment()
+	tags, ways := &l.tags[i], l.segWays(i)
 
 	// Refresh if the same key is already resident.
-	if w := seg.tags.Find(tag); w >= 0 && tlb.MakeKey(seg.spaces[w], seg.vpns[w]) == key {
-		seg.pfns[w] = e.PFN
+	if w := l.find(i, key); w >= 0 {
+		ways[w].pfn = e.PFN
 		l.clock++
-		seg.stamps[w] = l.clock
+		ways[w].stamp = l.clock
 		return tlb.Entry{}, false, true
 	}
 
 	// Choose a way: first invalid, else LRU.
 	way := -1
-	for w := 0; w < ways; w++ {
-		if _, live := seg.tags.Get(w); !live {
+	for w := range ways {
+		if _, live := tags.Get(w); !live {
 			way = w
 			break
 		}
@@ -403,8 +436,8 @@ func (l *LDS) TxInsert(e tlb.Entry) (victim tlb.Entry, hasVictim, inserted bool)
 	evicting := false
 	if way < 0 {
 		way = 0
-		for w := 1; w < ways; w++ {
-			if seg.stamps[w] < seg.stamps[way] {
+		for w := 1; w < len(ways); w++ {
+			if ways[w].stamp < ways[way].stamp {
 				way = w
 			}
 		}
@@ -412,21 +445,18 @@ func (l *LDS) TxInsert(e tlb.Entry) (victim tlb.Entry, hasVictim, inserted bool)
 	}
 
 	if evicting {
-		victim = tlb.Entry{Space: seg.spaces[way], VPN: seg.vpns[way], PFN: seg.pfns[way]}
-		seg.tags.Invalidate(way)
+		victim = ways[way].entry()
+		tags.Invalidate(way)
 	}
-	if !seg.tags.Add(way, tag) {
+	if !tags.Add(way, l.tagValue(key)) {
 		// Tag does not fit this segment's base: the hardware cannot
 		// store it; the insert is dropped (and the way we freed stays
 		// free). The entry continues down the fill flow.
 		l.stats.CompressionRejects++
 		return victim, evicting, false
 	}
-	seg.spaces[way] = e.Space
-	seg.vpns[way] = e.VPN
-	seg.pfns[way] = e.PFN
 	l.clock++
-	seg.stamps[way] = l.clock
+	ways[way] = txWay{pfn: e.PFN, vpn: e.VPN, stamp: l.clock, space: e.Space}
 	l.stats.TxInserts++
 	if evicting {
 		l.stats.TxEvictions++
@@ -437,15 +467,15 @@ func (l *LDS) TxInsert(e tlb.Entry) (victim tlb.Entry, hasVictim, inserted bool)
 // Shootdown invalidates key if cached (§7.1) and reports whether an
 // entry was removed.
 func (l *LDS) Shootdown(key tlb.Key) bool {
-	seg := &l.segments[l.segIndex(key)]
-	if seg.mode != TxMode {
+	i := l.segIndex(key)
+	if l.segments[i].mode != TxMode {
 		return false
 	}
-	w := seg.tags.Find(l.tagValue(key))
-	if w < 0 || tlb.MakeKey(seg.spaces[w], seg.vpns[w]) != key {
+	w := l.find(i, key)
+	if w < 0 {
 		return false
 	}
-	seg.tags.Invalidate(w)
+	l.tags[i].Invalidate(w)
 	l.stats.Shootdowns++
 	return true
 }
@@ -454,13 +484,13 @@ func (l *LDS) Shootdown(key tlb.Key) bool {
 // analysis).
 func (l *LDS) ForEachTx(fn func(tlb.Entry)) {
 	for i := range l.segments {
-		seg := &l.segments[i]
-		if seg.mode != TxMode {
+		if l.segments[i].mode != TxMode {
 			continue
 		}
-		for w := 0; w < l.cfg.TxWaysPerSegment(); w++ {
-			if _, live := seg.tags.Get(w); live {
-				fn(tlb.Entry{Space: seg.spaces[w], VPN: seg.vpns[w], PFN: seg.pfns[w]})
+		ways := l.segWays(i)
+		for w := range ways {
+			if _, live := l.tags[i].Get(w); live {
+				fn(ways[w].entry())
 			}
 		}
 	}

@@ -20,6 +20,14 @@ func newDUT() (*sim.Engine, *LDS) {
 	return eng, New(eng, DefaultConfig())
 }
 
+// geometries are the default 32-byte segments (3 ways) and the
+// §6.3.1 64-byte segments (6 ways).
+func geometries() []Config {
+	cfg64 := DefaultConfig()
+	cfg64.SegmentBytes = 64
+	return []Config{DefaultConfig(), cfg64}
+}
+
 func TestGeometry(t *testing.T) {
 	_, l := newDUT()
 	if l.NumSegments() != 512 {
@@ -36,17 +44,55 @@ func TestGeometry(t *testing.T) {
 }
 
 func TestTxInsertLookupRoundTrip(t *testing.T) {
-	_, l := newDUT()
-	e := entry(7)
-	if _, _, ok := l.TxInsert(e); !ok {
-		t.Fatal("insert failed on empty LDS")
+	for _, cfg := range geometries() {
+		l := New(sim.NewEngine(), cfg)
+		e := entry(7)
+		if _, _, ok := l.TxInsert(e); !ok {
+			t.Fatalf("%dB segments: insert failed on empty LDS", cfg.SegmentBytes)
+		}
+		got, hit, _ := l.TxLookup(e.Key())
+		if !hit || got != e {
+			t.Fatalf("%dB segments: lookup = %+v, %v", cfg.SegmentBytes, got, hit)
+		}
+		if l.Stats().TxHits != 1 {
+			t.Errorf("%dB segments: TxHits = %d", cfg.SegmentBytes, l.Stats().TxHits)
+		}
 	}
-	got, hit, _ := l.TxLookup(e.Key())
-	if !hit || got != e {
-		t.Fatalf("lookup = %+v, %v", got, hit)
-	}
-	if l.Stats().TxHits != 1 {
-		t.Errorf("TxHits = %d", l.Stats().TxHits)
+}
+
+// The Tx-mode arrays are built by the first insert into a free
+// segment, sized segments × ways, and by nothing else: probes,
+// shootdowns, work-group allocation and an insert bypassed by an
+// LDS-mode segment leave an LDS that never held a translation without
+// them.
+func TestTxArraysBuiltOnFirstTxSegment(t *testing.T) {
+	for _, cfg := range geometries() {
+		l := New(sim.NewEngine(), cfg)
+		e := entry(9)
+		l.TxLookup(e.Key())
+		l.TxProbe(e.Key())
+		l.Shootdown(e.Key())
+		l.ForEachTx(func(tlb.Entry) { t.Error("empty LDS reported a translation") })
+		if !l.AllocWorkgroup(1, cfg.SizeBytes) {
+			t.Fatal("full allocation failed")
+		}
+		if _, _, ok := l.TxInsert(e); ok {
+			t.Fatal("insert into an LDS-mode segment succeeded")
+		}
+		l.FreeWorkgroup(1)
+		if l.FreeTxCapacity() != l.NumSegments()*cfg.TxWaysPerSegment() || l.TxResident() != 0 {
+			t.Errorf("%dB segments: free capacity %d, resident %d", cfg.SegmentBytes, l.FreeTxCapacity(), l.TxResident())
+		}
+		if l.tags != nil || l.ways != nil {
+			t.Fatalf("%dB segments: Tx arrays built before any segment entered Tx-mode", cfg.SegmentBytes)
+		}
+		if _, _, ok := l.TxInsert(e); !ok {
+			t.Fatal("insert into a free segment failed")
+		}
+		if len(l.tags) != l.NumSegments() || len(l.ways) != l.NumSegments()*cfg.TxWaysPerSegment() {
+			t.Errorf("%dB segments: %d tag groups and %d ways for %d segments of %d ways", cfg.SegmentBytes,
+				len(l.tags), len(l.ways), l.NumSegments(), cfg.TxWaysPerSegment())
+		}
 	}
 }
 
@@ -58,26 +104,38 @@ func TestTxMissOnEmptySegment(t *testing.T) {
 }
 
 func TestSegmentAssociativityAndLRU(t *testing.T) {
-	_, l := newDUT()
-	n := vm.VPN(l.NumSegments())
-	// Four VPNs mapping to segment 5: 5, 5+n, 5+2n, 5+3n.
-	vpns := []vm.VPN{5, 5 + n, 5 + 2*n, 5 + 3*n}
-	for _, v := range vpns[:3] {
-		if _, hv, ok := l.TxInsert(entry(v)); !ok || hv {
-			t.Fatalf("insert %d: ok=%v victim=%v", v, ok, hv)
+	for _, cfg := range geometries() {
+		l := New(sim.NewEngine(), cfg)
+		ways := cfg.TxWaysPerSegment()
+		n := vm.VPN(l.NumSegments())
+		// ways+1 VPNs mapping to segment 5: 5, 5+n, 5+2n, ...
+		var vpns []vm.VPN
+		for i := 0; i <= ways; i++ {
+			vpns = append(vpns, 5+vm.VPN(i)*n)
 		}
-	}
-	// Touch vpn 5: MRU. Insert a 4th: victim must be 5+n (LRU).
-	l.TxLookup(entry(5).Key())
-	victim, hv, ok := l.TxInsert(entry(vpns[3]))
-	if !ok || !hv {
-		t.Fatalf("4th insert ok=%v victim=%v", ok, hv)
-	}
-	if victim.VPN != 5+n {
-		t.Errorf("victim VPN = %d, want %d", victim.VPN, 5+n)
-	}
-	if _, hit, _ := l.TxLookup(entry(5).Key()); !hit {
-		t.Error("MRU entry evicted")
+		for _, v := range vpns[:ways] {
+			if _, hv, ok := l.TxInsert(entry(v)); !ok || hv {
+				t.Fatalf("%d ways: insert %d: ok=%v victim=%v", ways, v, ok, hv)
+			}
+		}
+		// Touch vpn 5: MRU. One more insert: the victim must be 5+n (LRU).
+		l.TxLookup(entry(5).Key())
+		victim, hv, ok := l.TxInsert(entry(vpns[ways]))
+		if !ok || !hv {
+			t.Fatalf("%d ways: insert %d ok=%v victim=%v", ways, ways+1, ok, hv)
+		}
+		if victim != entry(5+n) {
+			t.Errorf("%d ways: victim = %+v, want %+v", ways, victim, entry(5+n))
+		}
+		for i, v := range vpns {
+			_, hit, _ := l.TxLookup(entry(v).Key())
+			if want := i != 1; hit != want {
+				t.Errorf("%d ways: VPN %d resident=%v, want %v", ways, v, hit, want)
+			}
+		}
+		if l.Stats().TxEvictions != 1 {
+			t.Errorf("%d ways: TxEvictions = %d", ways, l.Stats().TxEvictions)
+		}
 	}
 }
 
@@ -236,13 +294,34 @@ func TestRefreshOnReinsert(t *testing.T) {
 }
 
 func TestForEachTx(t *testing.T) {
-	_, l := newDUT()
-	l.TxInsert(entry(1))
-	l.TxInsert(entry(2))
-	seen := map[vm.VPN]bool{}
-	l.ForEachTx(func(e tlb.Entry) { seen[e.VPN] = true })
-	if len(seen) != 2 || !seen[1] || !seen[2] {
-		t.Errorf("ForEachTx saw %v", seen)
+	for _, cfg := range geometries() {
+		l := New(sim.NewEngine(), cfg)
+		n := vm.VPN(l.NumSegments())
+		// Two segments, the second filled to every way, then one of
+		// its ways shot down.
+		want := map[vm.VPN]bool{1: true}
+		l.TxInsert(entry(1))
+		for i := 0; i < cfg.TxWaysPerSegment(); i++ {
+			want[2+vm.VPN(i)*n] = true
+			l.TxInsert(entry(2 + vm.VPN(i)*n))
+		}
+		l.Shootdown(entry(2 + n).Key())
+		delete(want, 2+n)
+		seen := map[vm.VPN]bool{}
+		l.ForEachTx(func(e tlb.Entry) {
+			if e != entry(e.VPN) {
+				t.Errorf("ForEachTx entry %+v, want %+v", e, entry(e.VPN))
+			}
+			seen[e.VPN] = true
+		})
+		if len(seen) != len(want) {
+			t.Errorf("%dB segments: ForEachTx saw %v, want %v", cfg.SegmentBytes, seen, want)
+		}
+		for v := range want {
+			if !seen[v] {
+				t.Errorf("%dB segments: ForEachTx missed VPN %d", cfg.SegmentBytes, v)
+			}
+		}
 	}
 }
 

@@ -1,5 +1,7 @@
 package tlb
 
+import "gpureach/internal/sim"
+
 // Coalescer merges concurrent translation requests to the same page, the
 // way the hardware coalesces a SIMD unit's lane accesses and in-flight
 // L1 misses (§2.1: "memory accesses targeting the same page are
@@ -7,10 +9,7 @@ package tlb
 // the real lookup; later requesters for the same key ride along and are
 // all completed together.
 type Coalescer struct {
-	inflight map[Key][]waiter
-	// freeLists recycles drained waiter slices: steady-state joins then
-	// append into retained capacity instead of allocating.
-	freeLists [][]waiter
+	inflight sim.Waiters[Key, waiter]
 	// Merged counts requests that piggybacked on an in-flight miss.
 	Merged uint64
 	// Started counts misses that went down the memory system.
@@ -28,33 +27,13 @@ type waiter struct {
 }
 
 // NewCoalescer returns an empty coalescer.
-func NewCoalescer() *Coalescer {
-	return &Coalescer{inflight: make(map[Key][]waiter)}
-}
+func NewCoalescer() *Coalescer { return &Coalescer{} }
 
-// callEntryClosure adapts the closure-style Join API onto the handler
-// form: the func value itself rides in the ctx word.
-func callEntryClosure(ctx any, e Entry) { ctx.(func(Entry))(e) }
-
-// Join registers done to be called when key's translation resolves.
-// It reports whether the caller is the first requester and must start
-// the actual translation; subsequent callers are merged.
-func (c *Coalescer) Join(key Key, done func(Entry)) (first bool) {
-	return c.JoinEvent(key, callEntryClosure, done)
-}
-
-// JoinEvent is the allocation-free form of Join: h(ctx, entry) runs
-// when key resolves.
+// JoinEvent registers h(ctx, entry) to run when key's translation
+// resolves. It reports whether the caller is the first requester and
+// must start the actual translation; subsequent callers are merged.
 func (c *Coalescer) JoinEvent(key Key, h EntryHandler, ctx any) (first bool) {
-	waiters, exists := c.inflight[key]
-	if !exists && len(c.freeLists) > 0 {
-		n := len(c.freeLists) - 1
-		waiters = c.freeLists[n]
-		c.freeLists[n] = nil
-		c.freeLists = c.freeLists[:n]
-	}
-	c.inflight[key] = append(waiters, waiter{h: h, ctx: ctx})
-	if exists {
+	if !c.inflight.Wait(key, waiter{h: h, ctx: ctx}) {
 		c.Merged++
 		return false
 	}
@@ -66,19 +45,11 @@ func (c *Coalescer) JoinEvent(key Key, h EntryHandler, ctx any) (first bool) {
 // Completing a key with no waiters is a no-op (it can happen when a
 // shootdown raced the completion and cleared the waiters).
 func (c *Coalescer) Complete(key Key, entry Entry) {
-	waiters, exists := c.inflight[key]
-	if !exists {
-		return
+	l, _ := c.inflight.Take(key)
+	for w, ok := c.inflight.Pop(&l); ok; w, ok = c.inflight.Pop(&l) {
+		w.h(w.ctx, entry)
 	}
-	delete(c.inflight, key)
-	for i := range waiters {
-		waiters[i].h(waiters[i].ctx, entry)
-	}
-	for i := range waiters {
-		waiters[i] = waiter{} // release ctx refs before recycling
-	}
-	c.freeLists = append(c.freeLists, waiters[:0])
 }
 
 // Inflight returns the number of distinct keys currently outstanding.
-func (c *Coalescer) Inflight() int { return len(c.inflight) }
+func (c *Coalescer) Inflight() int { return c.inflight.Len() }

@@ -204,11 +204,11 @@ func TestCoalescerMerges(t *testing.T) {
 	c := NewCoalescer()
 	key := MakeKey(spaceA, 9)
 	var results []vm.PFN
-	first := c.Join(key, func(e Entry) { results = append(results, e.PFN) })
+	first := join(c, key, func(e Entry) { results = append(results, e.PFN) })
 	if !first {
 		t.Fatal("first join not first")
 	}
-	if c.Join(key, func(e Entry) { results = append(results, e.PFN) }) {
+	if join(c, key, func(e Entry) { results = append(results, e.PFN) }) {
 		t.Fatal("second join claimed first")
 	}
 	if c.Inflight() != 1 {
@@ -230,10 +230,10 @@ func TestCoalescerIndependentKeys(t *testing.T) {
 	c := NewCoalescer()
 	k1, k2 := MakeKey(spaceA, 1), MakeKey(spaceA, 2)
 	done1, done2 := false, false
-	if !c.Join(k1, func(Entry) { done1 = true }) {
+	if !join(c, k1, func(Entry) { done1 = true }) {
 		t.Fatal("k1 not first")
 	}
-	if !c.Join(k2, func(Entry) { done2 = true }) {
+	if !join(c, k2, func(Entry) { done2 = true }) {
 		t.Fatal("k2 not first")
 	}
 	c.Complete(k1, entry(spaceA, 1))
@@ -250,9 +250,9 @@ func TestCoalescerCompleteEmptyIsNoop(t *testing.T) {
 func TestCoalescerRejoinAfterComplete(t *testing.T) {
 	c := NewCoalescer()
 	key := MakeKey(spaceA, 1)
-	c.Join(key, func(Entry) {})
+	join(c, key, func(Entry) {})
 	c.Complete(key, Entry{})
-	if !c.Join(key, func(Entry) {}) {
+	if !join(c, key, func(Entry) {}) {
 		t.Error("join after complete should be first again")
 	}
 }
@@ -270,3 +270,10 @@ func TestProbeDoesNotTouchLRU(t *testing.T) {
 		t.Error("Probe counted as a hit")
 	}
 }
+
+// join is JoinEvent with a closure completion, for tests.
+func join(c *Coalescer, key Key, done func(Entry)) bool {
+	return c.JoinEvent(key, runEntryFunc, done)
+}
+
+func runEntryFunc(ctx any, e Entry) { ctx.(func(Entry))(e) }

@@ -134,6 +134,10 @@ type PageTable struct {
 	root     *ptNode
 	alloc    *FrameAllocator
 	pageSize PageSize
+	// vpnLimit is one past the last VPN of the 48-bit space. Larger
+	// VPNs would alias onto mapped pages once each radix index is
+	// masked to 9 bits, so every operation rejects them.
+	vpnLimit VPN
 	mapped   uint64
 }
 
@@ -144,6 +148,7 @@ func NewPageTable(alloc *FrameAllocator, ps PageSize) *PageTable {
 		root:     &ptNode{pa: alloc.AllocNode()},
 		alloc:    alloc,
 		pageSize: ps,
+		vpnLimit: VPN(1) << (vaBits - ps.Bits()),
 	}
 }
 
@@ -172,8 +177,13 @@ func (pt *PageTable) levelIndices(vpn VPN) ([MaxWalkLevels]int, int) {
 }
 
 // Map installs vpn→pfn, creating intermediate nodes as needed.
-// Remapping an existing VPN overwrites it.
+// Remapping an existing VPN overwrites it. vpn must lie in the 48-bit
+// space.
 func (pt *PageTable) Map(vpn VPN, pfn PFN) {
+	if vpn >= pt.vpnLimit {
+		//gpureach:allow simerr -- a VPN beyond the 48-bit space is a workload-construction bug at build time, before the engine runs
+		panic(fmt.Sprintf("vm: VPN %#x outside the 48-bit space at %d-byte pages", uint64(vpn), pt.pageSize))
+	}
 	idx, levels := pt.levelIndices(vpn)
 	n := pt.root
 	for _, i := range idx[:levels-1] {
@@ -194,6 +204,9 @@ func (pt *PageTable) Map(vpn VPN, pfn PFN) {
 // Unmap removes the mapping for vpn and reports whether it existed.
 // Used by TLB-shootdown experiments (§7.1).
 func (pt *PageTable) Unmap(vpn VPN) bool {
+	if vpn >= pt.vpnLimit {
+		return false
+	}
 	idx, levels := pt.levelIndices(vpn)
 	n := pt.root
 	for _, i := range idx[:levels-1] {
@@ -226,9 +239,13 @@ type Walk struct {
 }
 
 // Walk traverses the table for vpn, recording the entry addresses read.
+// A VPN beyond the 48-bit space faults without reading any entry.
 func (pt *PageTable) Walk(vpn VPN) Walk {
-	idx, levels := pt.levelIndices(vpn)
 	var w Walk
+	if vpn >= pt.vpnLimit {
+		return w
+	}
+	idx, levels := pt.levelIndices(vpn)
 	n := pt.root
 	for d, i := range idx[:levels] {
 		w.Steps[d] = n.pa + PA(i*8)
@@ -266,6 +283,9 @@ func (pt *PageTable) PrefixKey(vpn VPN, level int) uint64 {
 // need the mapping but not the timing, and the fast path warming leans
 // on.
 func (pt *PageTable) Lookup(vpn VPN) (PFN, bool) {
+	if vpn >= pt.vpnLimit {
+		return 0, false
+	}
 	idx, levels := pt.levelIndices(vpn)
 	n := pt.root
 	for _, i := range idx[:levels-1] {

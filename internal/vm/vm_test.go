@@ -107,6 +107,45 @@ func TestWalkAllocatesNothing(t *testing.T) {
 	}
 }
 
+// A VPN beyond the 48-bit space must not alias onto the mapped VPN its
+// low bits select: with 2MB pages, vpn + 1<<27 and vpn + 1<<30 share
+// every 9-bit radix index with vpn (and vpn + 1<<36, 1<<39 with 4KB). Walk, Lookup and Unmap report it
+// unmapped, and Map refuses it.
+func TestVPNBeyondVASpaceIsUnmapped(t *testing.T) {
+	for _, ps := range []PageSize{Page4K, Page2M} {
+		pt := NewPageTable(NewFrameAllocator(16<<30), ps)
+		vpn := ps.VPN(0x2000_0000_0000)
+		pt.Map(vpn, 7)
+		limit := VPN(1) << (vaBits - ps.Bits())
+		for _, far := range []VPN{vpn + limit, vpn + limit<<3, limit} {
+			if w := pt.Walk(far); w.OK || w.Levels != 0 {
+				t.Errorf("ps=%d: Walk(%#x) = %+v, want a fault with no steps", ps, far, w)
+			}
+			if pfn, ok := pt.Lookup(far); ok {
+				t.Errorf("ps=%d: Lookup(%#x) = PFN %d, want unmapped", ps, far, pfn)
+			}
+			if pt.Unmap(far) {
+				t.Errorf("ps=%d: Unmap(%#x) removed a mapping", ps, far)
+			}
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("ps=%d: Map(%#x) did not panic", ps, far)
+					}
+				}()
+				pt.Map(far, 9)
+			}()
+		}
+		if pfn, ok := pt.Lookup(vpn); !ok || pfn != 7 || pt.Mapped() != 1 {
+			t.Errorf("ps=%d: in-range mapping disturbed: PFN %d ok=%v mapped=%d", ps, pfn, ok, pt.Mapped())
+		}
+		pt.Map(limit-1, 3)
+		if w := pt.Walk(limit - 1); !w.OK || w.PFN != 3 {
+			t.Errorf("ps=%d: last VPN of the space walked to %+v, want PFN 3", ps, w)
+		}
+	}
+}
+
 func TestUnmap(t *testing.T) {
 	frames := NewFrameAllocator(16 << 30)
 	pt := NewPageTable(frames, Page4K)
@@ -257,7 +296,7 @@ func TestWalkBoundedProperty(t *testing.T) {
 	for _, ps := range []PageSize{Page4K, Page2M} {
 		pt := NewPageTable(frames, ps)
 		f := func(rawVPN uint64) bool {
-			vpn := VPN(rawVPN % (1 << 30))
+			vpn := VPN(rawVPN % (1 << (vaBits - ps.Bits())))
 			pt.Map(vpn, 1)
 			w := pt.Walk(vpn)
 			return w.Levels <= ps.WalkLevels() && w.OK

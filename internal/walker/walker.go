@@ -157,16 +157,15 @@ func (q *walkQueue) pop() *walkReq {
 
 // IOMMU is the translation agent of last resort before memory.
 type IOMMU struct {
-	eng   *sim.Engine
-	cfg   Config
-	mem   cache.Memory
-	memEv cache.EventMemory // mem, when it supports the event form
-	l1    *tlb.TLB
-	l2    *tlb.TLB
-	pgd   *pwc
-	pud   *pwc
-	pmd   *pwc
-	coal  *tlb.Coalescer
+	eng  *sim.Engine
+	cfg  Config
+	mem  cache.Memory
+	l1   *tlb.TLB
+	l2   *tlb.TLB
+	pgd  *pwc
+	pud  *pwc
+	pmd  *pwc
+	coal *tlb.Coalescer
 
 	freeWalkers int
 	queue       walkQueue
@@ -183,12 +182,10 @@ func New(eng *sim.Engine, cfg Config, mem cache.Memory) *IOMMU {
 	if cfg.NumWalkers <= 0 {
 		panic("walker: need at least one walker")
 	}
-	memEv, _ := mem.(cache.EventMemory)
 	return &IOMMU{
 		eng:         eng,
 		cfg:         cfg,
 		mem:         mem,
-		memEv:       memEv,
 		l1:          tlb.New("iommu-l1", cfg.L1Entries, cfg.L1Entries),
 		l2:          tlb.New("iommu-l2", cfg.L2Entries, min(cfg.L2Entries, 8)),
 		pgd:         newPWC(cfg.PGDEntries),
@@ -380,11 +377,7 @@ func (io *IOMMU) walkStep(r *walkReq) {
 	}
 	io.stats.WalkSteps++
 	step := r.walk.Steps[r.idx]
-	if io.memEv != nil {
-		io.memEv.AccessEvent(step, false, walkerStepDone, r)
-		return
-	}
-	io.mem.Access(step, false, func() { walkerStepDone(r) })
+	io.mem.AccessEvent(step, false, walkerStepDone, r)
 }
 
 func (io *IOMMU) finishWalk(r *walkReq) {

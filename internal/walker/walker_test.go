@@ -15,9 +15,9 @@ type countingMem struct {
 	reads   int
 }
 
-func (m *countingMem) Access(addr vm.PA, write bool, done func()) {
+func (m *countingMem) AccessEvent(addr vm.PA, write bool, h sim.Handler, ctx any) {
 	m.reads++
-	m.eng.After(m.latency, done)
+	m.eng.AfterEvent(m.latency, h, ctx)
 }
 
 func setup(t *testing.T, cfg Config) (*sim.Engine, *IOMMU, *vm.AddrSpace, *countingMem) {
@@ -281,16 +281,12 @@ func TestDeviceL1FilledFromL2(t *testing.T) {
 	}
 }
 
-// eventMem is a fixed-latency memory with the allocation-free event
-// form, recording every address read in order.
+// eventMem is a fixed-latency memory recording every address read in
+// order.
 type eventMem struct {
 	eng     *sim.Engine
 	latency sim.Time
 	reads   []vm.PA
-}
-
-func (m *eventMem) Access(addr vm.PA, write bool, done func()) {
-	m.AccessEvent(addr, write, func(any) { done() }, nil)
 }
 
 func (m *eventMem) AccessEvent(addr vm.PA, write bool, h sim.Handler, ctx any) {
