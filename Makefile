@@ -4,7 +4,8 @@
 #   make tier2        tier1 plus static analysis and a race-detector sweep
 #   make lint         go vet + gofmt + the repo's own analyzers (cmd/gpureachvet,
 #                     with -stale-allows so waivers that suppress nothing fail too)
-#   make bench        internal/sim event-engine microbenchmarks (repeated-trial
+#   make bench        microbenchmarks: the internal/sim event engine and
+#                     waiter table, internal/tlb Insert (repeated-trial
 #                     perf measurements with host fingerprints:
 #                     bash perfbench/run.sh)
 #   make bench-smoke  one-iteration pass over every benchmark (CI keeps them
@@ -58,10 +59,10 @@ lint:
 	$(GO) run ./cmd/gpureachvet -stale-allows ./...
 
 bench:
-	$(GO) test -bench=. -benchmem -run NONE ./internal/sim/
+	$(GO) test -bench=. -benchmem -run NONE ./internal/sim/ ./internal/tlb/
 
 bench-smoke:
-	$(GO) test -bench=. -benchtime 1x -benchmem -run NONE ./internal/sim/
+	$(GO) test -bench=. -benchtime 1x -benchmem -run NONE ./internal/sim/ ./internal/tlb/
 
 allocs:
 	$(GO) test -count=1 -v -run 'TestFullDetailRunAllocBudget|TestNewSystemByteBudget' ./internal/core/

@@ -59,15 +59,15 @@ func TestFullDetailRunAllocBudget(t *testing.T) {
 
 // TestNewSystemByteBudget pins what building a default machine costs
 // on the heap, so state sized to the structures' full geometry cannot
-// creep back in. The LDSs' Tx-mode arrays are built only when a
-// segment first enters Tx-mode, which is never at construction, so
-// Baseline and Combined cost the same. Bounds are about 10% above the
-// bytes measured when the budget was set (1.56 MB each, Go 1.24);
-// with every LDS segment carrying its own Tx state, NewSystem took
-// 2.80 MB.
+// creep back in. The LDSs' and I-caches' Tx-mode state is built only
+// when a segment or line first enters Tx-mode, which is never at
+// construction, so every scheme costs the same. Bounds are about 10%
+// above the bytes measured when the budget was set (1.40 MB each, Go
+// 1.24); with every I-cache line carrying its own Tx state NewSystem
+// took 1.56 MB, and with every LDS segment doing so too, 2.80 MB.
 func TestNewSystemByteBudget(t *testing.T) {
-	const maxBytes = 1_720_000
-	for _, scheme := range []Scheme{Baseline(), Combined()} {
+	const maxBytes = 1_540_000
+	for _, scheme := range []Scheme{Baseline(), LDSOnly(), Combined()} {
 		t.Run(scheme.Name, func(t *testing.T) {
 			cfg := DefaultConfig(scheme)
 			var before, after runtime.MemStats

@@ -124,29 +124,43 @@ func (s Stats) InstrHitRate() float64 {
 	return float64(s.InstrHits) / float64(s.Fetches)
 }
 
-// line is one reconfigurable I-cache line. Translation-mode state is
-// inline (value-type tag group, fixed arrays sized bdc.MaxSlots) so a
-// victim-store probe touches one contiguous struct instead of chasing
-// five heap pointers — the dominant cost of a probe at this call
-// volume, in detailed mode and fast-forward warming alike.
+// line is one reconfigurable I-cache line: its mode and instruction
+// tag. Its Tx-mode state lives in the cache's tx array, which exists
+// only once some line has entered Tx-mode.
 type line struct {
 	mode  Mode
 	tag   uint64 // instruction line address when ICMode
 	stamp uint64
+}
 
-	txTags   bdc.Group
-	txSpaces [bdc.MaxSlots]vm.SpaceID
-	txVPNs   [bdc.MaxSlots]vm.VPN
-	txPFNs   [bdc.MaxSlots]vm.PFN
-	txStamps [bdc.MaxSlots]uint64
+// txState is one Tx-mode line's translations. It is inline (value-type
+// tag group, fixed arrays sized bdc.MaxSlots) so a victim-store probe
+// touches one contiguous struct instead of chasing five heap pointers
+// — the dominant cost of a probe at this call volume, in detailed mode
+// and fast-forward warming alike.
+type txState struct {
+	tags   bdc.Group
+	spaces [bdc.MaxSlots]vm.SpaceID
+	vpns   [bdc.MaxSlots]vm.VPN
+	pfns   [bdc.MaxSlots]vm.PFN
+	stamps [bdc.MaxSlots]uint64
+}
+
+// entry returns the translation sub-way w holds.
+func (t *txState) entry(w int) tlb.Entry {
+	return tlb.Entry{Space: t.spaces[w], VPN: t.vpns[w], PFN: t.pfns[w]}
 }
 
 // ICache is one reconfigurable instruction cache instance.
 type ICache struct {
-	cfg   Config
-	eng   *sim.Engine
-	port  *sim.Port
-	sets  [][]line
+	cfg  Config
+	eng  *sim.Engine
+	port *sim.Port
+	sets [][]line
+	// tx holds line (s, w)'s Tx-mode state at tx[s*Ways+w]. It is built
+	// when the first line enters Tx-mode, so a cache that never holds a
+	// translation (Baseline, lds) never pays for it.
+	tx    []txState
 	clock uint64
 	stats Stats
 
@@ -184,21 +198,21 @@ func New(eng *sim.Engine, cfg Config) *ICache {
 	c.sets = make([][]line, numSets)
 	for s := range c.sets {
 		c.sets[s] = make([]line, cfg.Ways)
-		for w := range c.sets[s] {
-			c.sets[s][w] = c.newLine()
-		}
 	}
 	return c
 }
 
-func (c *ICache) newLine() line {
-	l := line{}
-	if c.cfg.TxPerLine > 0 {
+// allocTx builds the Tx-mode state on the first switch into Tx-mode.
+func (c *ICache) allocTx() {
+	c.tx = make([]txState, c.NumLines())
+	for i := range c.tx {
 		// Figure 10c: 32-bit base, 8-bit signed deltas per sub-way tag.
-		l.txTags = bdc.NewGroup(c.cfg.TxPerLine, 32, 8)
+		c.tx[i].tags = bdc.NewGroup(c.cfg.TxPerLine, 32, 8)
 	}
-	return l
 }
+
+// txAt returns line (s, w)'s Tx-mode state; the line must be in Tx-mode.
+func (c *ICache) txAt(s, w int) *txState { return &c.tx[s*c.cfg.Ways+w] }
 
 // Config returns the configuration.
 func (c *ICache) Config() Config { return c.cfg }
@@ -215,8 +229,14 @@ func (c *ICache) NumLines() int { return len(c.sets) * c.cfg.Ways }
 // --- instruction side -------------------------------------------------
 
 func (c *ICache) instrSet(addr vm.PA) ([]line, uint64) {
+	s, la := c.instrIndex(addr)
+	return c.sets[s], la
+}
+
+// instrIndex returns the set index and line address of addr.
+func (c *ICache) instrIndex(addr vm.PA) (int, uint64) {
 	la := uint64(addr) / uint64(c.cfg.LineBytes)
-	return c.sets[la%uint64(len(c.sets))], la
+	return int(la % uint64(len(c.sets))), la
 }
 
 // Fetch probes the cache for the instruction line containing addr. It
@@ -280,7 +300,8 @@ func (c *ICache) HasInstr(addr vm.PA) bool {
 // instruction lines (§4.3.2 rule 1); either policy drops any
 // translations in the chosen way (they are clean).
 func (c *ICache) FillInstr(addr vm.PA) {
-	set, la := c.instrSet(addr)
+	s, la := c.instrIndex(addr)
+	set := c.sets[s]
 	for w := range set {
 		if set[w].mode == ICMode && set[w].tag == la {
 			return // raced: already filled
@@ -319,8 +340,9 @@ func (c *ICache) FillInstr(addr vm.PA) {
 		}
 	}
 	if set[victim].mode == TxMode {
-		c.stats.TxDroppedByInstrFill += uint64(set[victim].txTags.Live())
-		set[victim].txTags.Clear()
+		tags := &c.txAt(s, victim).tags
+		c.stats.TxDroppedByInstrFill += uint64(tags.Live())
+		tags.Clear()
 	}
 	set[victim].mode = ICMode
 	set[victim].tag = la
@@ -376,12 +398,26 @@ func (c *ICache) FillsInflight() int { return c.fills.Len() }
 
 // txLine maps a key to its direct-mapped line (Figure 9): the VPN
 // selects one specific (set, way) pair so the per-way comparators are
-// reused without extra muxing.
-func (c *ICache) txLine(key tlb.Key) *line {
+// reused without extra muxing. It returns the line and its Tx-mode
+// state, which is nil until some line has entered Tx-mode.
+func (c *ICache) txLine(key tlb.Key) (*line, *txState) {
 	lineIdx := uint64(key.VPN()) % uint64(c.NumLines())
-	set := lineIdx % uint64(len(c.sets))
-	way := lineIdx / uint64(len(c.sets))
-	return &c.sets[set][way]
+	set, way := int(lineIdx%uint64(len(c.sets))), int(lineIdx/uint64(len(c.sets)))
+	if c.tx == nil {
+		return &c.sets[set][way], nil
+	}
+	return &c.sets[set][way], c.txAt(set, way)
+}
+
+// find returns the sub-way of Tx state t holding key, or -1.
+// Compressed tags may alias, so a tag match is confirmed against the
+// stored full key.
+func (c *ICache) find(t *txState, key tlb.Key) int {
+	w := t.tags.Find(c.txTagValue(key))
+	if w < 0 || tlb.MakeKey(t.spaces[w], t.vpns[w]) != key {
+		return -1
+	}
+	return w
 }
 
 // txTagValue is the compressed tag: the VPN bits above the line index.
@@ -420,18 +456,18 @@ func (c *ICache) txLookup(key tlb.Key) (tlb.Entry, bool) {
 		panic("icache: TxLookup with reconfiguration disabled")
 	}
 	c.stats.TxLookups++
-	ln := c.txLine(key)
+	ln, tx := c.txLine(key)
 	if ln.mode != TxMode {
 		return tlb.Entry{}, false
 	}
-	w := ln.txTags.Find(c.txTagValue(key))
-	if w < 0 || tlb.MakeKey(ln.txSpaces[w], ln.txVPNs[w]) != key {
+	w := c.find(tx, key)
+	if w < 0 {
 		return tlb.Entry{}, false
 	}
 	c.clock++
-	ln.txStamps[w] = c.clock
+	tx.stamps[w] = c.clock
 	c.stats.TxHits++
-	return tlb.Entry{Space: ln.txSpaces[w], VPN: ln.txVPNs[w], PFN: ln.txPFNs[w]}, true
+	return tx.entry(w), true
 }
 
 // TxProbe reports whether key is resident right now, with no port,
@@ -441,15 +477,15 @@ func (c *ICache) TxProbe(key tlb.Key) (tlb.Entry, bool) {
 	if c.cfg.TxPerLine == 0 {
 		return tlb.Entry{}, false
 	}
-	ln := c.txLine(key)
+	ln, tx := c.txLine(key)
 	if ln.mode != TxMode {
 		return tlb.Entry{}, false
 	}
-	w := ln.txTags.Find(c.txTagValue(key))
-	if w < 0 || tlb.MakeKey(ln.txSpaces[w], ln.txVPNs[w]) != key {
+	w := c.find(tx, key)
+	if w < 0 {
 		return tlb.Entry{}, false
 	}
-	return tlb.Entry{Space: ln.txSpaces[w], VPN: ln.txVPNs[w], PFN: ln.txPFNs[w]}, true
+	return tx.entry(w), true
 }
 
 // TxInsert offers a victim translation to the cache (Figure 12 flows
@@ -462,37 +498,38 @@ func (c *ICache) TxInsert(e tlb.Entry) (victim tlb.Entry, hasVictim, inserted bo
 		return tlb.Entry{}, false, false
 	}
 	key := e.Key()
-	ln := c.txLine(key)
+	ln, tx := c.txLine(key)
 
-	switch ln.mode {
-	case ICMode:
-		if c.cfg.Policy == PolicyInstrAware {
-			c.stats.TxBypassIC++
-			return tlb.Entry{}, false, false
+	if ln.mode != TxMode {
+		if ln.mode == ICMode {
+			if c.cfg.Policy == PolicyInstrAware {
+				c.stats.TxBypassIC++
+				return tlb.Entry{}, false, false
+			}
+			// Naive policy: translations may replace instructions
+			// (§4.3.2's cautionary design) — the line flips to Tx-mode.
+			c.stats.InstrLinesLostToTx++
 		}
-		// Naive policy: translations may replace instructions (§4.3.2's
-		// cautionary design) — the line flips to Tx-mode.
-		c.stats.InstrLinesLostToTx++
+		if tx == nil {
+			c.allocTx()
+			_, tx = c.txLine(key)
+		}
 		ln.mode = TxMode
-		ln.txTags.Clear()
-	case Invalid:
-		ln.mode = TxMode
-		ln.txTags.Clear()
+		tx.tags.Clear()
 	}
 	c.port.Acquire() // fills consume port bandwidth
 
-	tag := c.txTagValue(key)
 	// Refresh on re-insert.
-	if w := ln.txTags.Find(tag); w >= 0 && tlb.MakeKey(ln.txSpaces[w], ln.txVPNs[w]) == key {
-		ln.txPFNs[w] = e.PFN
+	if w := c.find(tx, key); w >= 0 {
+		tx.pfns[w] = e.PFN
 		c.clock++
-		ln.txStamps[w] = c.clock
+		tx.stamps[w] = c.clock
 		return tlb.Entry{}, false, true
 	}
 
 	way := -1
 	for w := 0; w < c.cfg.TxPerLine; w++ {
-		if _, live := ln.txTags.Get(w); !live {
+		if _, live := tx.tags.Get(w); !live {
 			way = w
 			break
 		}
@@ -501,25 +538,25 @@ func (c *ICache) TxInsert(e tlb.Entry) (victim tlb.Entry, hasVictim, inserted bo
 	if way < 0 {
 		way = 0
 		for w := 1; w < c.cfg.TxPerLine; w++ {
-			if ln.txStamps[w] < ln.txStamps[way] {
+			if tx.stamps[w] < tx.stamps[way] {
 				way = w
 			}
 		}
 		evicting = true
 	}
 	if evicting {
-		victim = tlb.Entry{Space: ln.txSpaces[way], VPN: ln.txVPNs[way], PFN: ln.txPFNs[way]}
-		ln.txTags.Invalidate(way)
+		victim = tx.entry(way)
+		tx.tags.Invalidate(way)
 	}
-	if !ln.txTags.Add(way, tag) {
+	if !tx.tags.Add(way, c.txTagValue(key)) {
 		c.stats.CompressionRejects++
 		return victim, evicting, false
 	}
-	ln.txSpaces[way] = e.Space
-	ln.txVPNs[way] = e.VPN
-	ln.txPFNs[way] = e.PFN
+	tx.spaces[way] = e.Space
+	tx.vpns[way] = e.VPN
+	tx.pfns[way] = e.PFN
 	c.clock++
-	ln.txStamps[way] = c.clock
+	tx.stamps[way] = c.clock
 	c.stats.TxInserts++
 	if evicting {
 		c.stats.TxEvictions++
@@ -578,7 +615,7 @@ func (c *ICache) FreeTxCapacity() int {
 			case Invalid:
 				n += c.cfg.TxPerLine
 			case TxMode:
-				n += c.cfg.TxPerLine - c.sets[s][w].txTags.Live()
+				n += c.cfg.TxPerLine - c.txAt(s, w).tags.Live()
 			}
 		}
 	}
@@ -594,7 +631,7 @@ func (c *ICache) TxResident() int {
 	for s := range c.sets {
 		for w := range c.sets[s] {
 			if c.sets[s][w].mode == TxMode {
-				n += c.sets[s][w].txTags.Live()
+				n += c.txAt(s, w).tags.Live()
 			}
 		}
 	}
@@ -619,15 +656,15 @@ func (c *ICache) Shootdown(key tlb.Key) bool {
 	if c.cfg.TxPerLine == 0 {
 		return false
 	}
-	ln := c.txLine(key)
+	ln, tx := c.txLine(key)
 	if ln.mode != TxMode {
 		return false
 	}
-	w := ln.txTags.Find(c.txTagValue(key))
-	if w < 0 || tlb.MakeKey(ln.txSpaces[w], ln.txVPNs[w]) != key {
+	w := c.find(tx, key)
+	if w < 0 {
 		return false
 	}
-	ln.txTags.Invalidate(w)
+	tx.tags.Invalidate(w)
 	c.stats.Shootdowns++
 	return true
 }
@@ -639,13 +676,13 @@ func (c *ICache) ForEachTx(fn func(tlb.Entry)) {
 	}
 	for s := range c.sets {
 		for w := range c.sets[s] {
-			ln := &c.sets[s][w]
-			if ln.mode != TxMode {
+			if c.sets[s][w].mode != TxMode {
 				continue
 			}
+			tx := c.txAt(s, w)
 			for i := 0; i < c.cfg.TxPerLine; i++ {
-				if _, live := ln.txTags.Get(i); live {
-					fn(tlb.Entry{Space: ln.txSpaces[i], VPN: ln.txVPNs[i], PFN: ln.txPFNs[i]})
+				if _, live := tx.tags.Get(i); live {
+					fn(tx.entry(i))
 				}
 			}
 		}

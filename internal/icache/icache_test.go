@@ -158,6 +158,41 @@ func TestTxSubWayLRU(t *testing.T) {
 	}
 }
 
+// The Tx-mode state is built by the first insert that puts a line into
+// Tx-mode, under either policy, and by nothing else: probes, a
+// shootdown, instruction fills and an insert the instruction-aware
+// policy bypasses leave a cache that never held a translation without
+// it.
+func TestTxStateBuiltOnFirstTxLine(t *testing.T) {
+	for _, p := range []Policy{PolicyInstrAware, PolicyNaive} {
+		c := newDUT(func(c *Config) { c.Policy = p })
+		e := entry(9)
+		c.TxLookup(e.Key())
+		c.TxProbe(e.Key())
+		c.Shootdown(e.Key())
+		c.ForEachTx(func(tlb.Entry) { t.Error("empty cache reported a translation") })
+		for i := 0; i < c.NumLines(); i++ {
+			c.FillInstr(vm.PA(i * 64))
+		}
+		if c.tx != nil {
+			t.Fatalf("%v: Tx state built before any line entered Tx-mode", p)
+		}
+		if p == PolicyInstrAware {
+			if _, _, ok := c.TxInsert(e); ok || c.tx != nil {
+				t.Fatalf("%v: insert onto an instruction line: ok=%v, Tx state built=%v", p, ok, c.tx != nil)
+			}
+			c.KernelBoundary("a")
+			c.KernelBoundary("b") // flushes the instruction lines
+		}
+		if _, _, ok := c.TxInsert(e); !ok {
+			t.Fatalf("%v: first Tx-mode insert failed", p)
+		}
+		if len(c.tx) != c.NumLines() {
+			t.Errorf("%v: %d Tx states for %d lines", p, len(c.tx), c.NumLines())
+		}
+	}
+}
+
 func TestOneTxPerLineDesign(t *testing.T) {
 	c := newDUT(func(c *Config) { c.TxPerLine = 1 })
 	n := vm.VPN(c.NumLines())

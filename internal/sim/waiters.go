@@ -1,5 +1,7 @@
 package sim
 
+import "math/bits"
+
 // Waiters tracks requests merged onto in-flight work, keyed by what
 // they wait for: the TLB coalescer's page translations, the data
 // caches' MSHRs and the I-cache's line fills all use it. Each open key
@@ -8,14 +10,24 @@ package sim
 // therefore grows to the peak number of waiting requests and is then
 // reused: a warm table joins and drains without allocating.
 //
+// Open keys live in an open-addressed table the struct owns: 16-byte
+// slots holding a key and its WaitList, found by linear probing from a
+// Fibonacci hash of the key. A slot whose list tail is 0 is empty; a
+// key open with no waiters yet has tail -1 (node indices start at 1),
+// so the zero slot, and the zero Waiters, need no initialisation. The
+// table is a power of two, doubles at ¾ load, and deletes by shifting
+// the rest of the probe run back, so no tombstones build up.
+//
 // The arena grows in fixed chunks rather than by reallocating one
 // slice: growth never copies nodes and allocates at most one chunk
 // beyond the peak.
 //
 // The zero value is ready to use. Waiters is not concurrency-safe; it
 // belongs to the single-threaded engine's event handlers.
-type Waiters[K comparable, T any] struct {
-	open   map[K]WaitList
+type Waiters[K ~uint64, T any] struct {
+	slots  []waitSlot[K] // len is 0 or a power of two
+	shift  uint8         // 64 − log2(len(slots)): hash bits to drop
+	live   int           // open keys
 	chunks []*[waitChunk]waitNode[T]
 	used   int32 // nodes ever handed out, the nil index included
 	free   int32
@@ -24,6 +36,14 @@ type Waiters[K comparable, T any] struct {
 const (
 	waitChunkBits = 7
 	waitChunk     = 1 << waitChunkBits
+
+	// waitMinSlots is the table size a first Open or Wait builds.
+	waitMinSlots = 16
+	// fibMul is 2^64 / φ, the Fibonacci-hashing multiplier: it spreads
+	// line and page numbers with regular strides over the top bits.
+	fibMul = 0x9E3779B97F4A7C15
+	// openEmpty is the tail of a key that is open with no waiters.
+	openEmpty = -1
 )
 
 // WaitList is one key's FIFO of waiters: head and tail index the
@@ -33,6 +53,11 @@ type WaitList struct {
 	head, tail int32
 }
 
+type waitSlot[K ~uint64] struct {
+	key  K
+	list WaitList
+}
+
 type waitNode[T any] struct {
 	v    T
 	next int32
@@ -40,33 +65,31 @@ type waitNode[T any] struct {
 
 // Busy reports whether key is open.
 func (w *Waiters[K, T]) Busy(key K) bool {
-	_, ok := w.open[key]
+	_, ok := w.find(key)
 	return ok
 }
 
 // Open marks key in flight with no waiters yet. It reports false, and
 // changes nothing, when key is already open.
 func (w *Waiters[K, T]) Open(key K) bool {
-	if w.Busy(key) {
+	i, ok := w.find(key)
+	if ok {
 		return false
 	}
-	if w.open == nil {
-		w.open = make(map[K]WaitList)
-	}
-	w.open[key] = WaitList{}
+	w.claim(i, key).tail = openEmpty
 	return true
 }
 
 // Wait appends v to key's list, opening key if it is not open. It
 // reports whether this call opened key.
 func (w *Waiters[K, T]) Wait(key K, v T) (opened bool) {
-	l, busy := w.open[key]
-	if !busy && w.open == nil {
-		w.open = make(map[K]WaitList)
+	i, busy := w.find(key)
+	if busy {
+		w.push(&w.slots[i].list, v)
+		return false
 	}
-	w.push(&l, v)
-	w.open[key] = l
-	return !busy
+	w.push(w.claim(i, key), v)
+	return true
 }
 
 // Take closes key and returns its list for draining with Pop; ok is
@@ -74,10 +97,13 @@ func (w *Waiters[K, T]) Wait(key K, v T) (opened bool) {
 // the drain means a waiter that joins key again from its handler opens
 // a new in-flight entry rather than extending the one being drained.
 func (w *Waiters[K, T]) Take(key K) (l WaitList, ok bool) {
-	if l, ok = w.open[key]; ok {
-		delete(w.open, key)
+	i, ok := w.find(key)
+	if !ok {
+		return WaitList{}, false
 	}
-	return l, ok
+	l = w.slots[i].list
+	w.remove(i)
+	return l, true
 }
 
 // Pop removes and returns the first waiter of l, a list obtained from
@@ -100,7 +126,84 @@ func (w *Waiters[K, T]) Pop(l *WaitList) (v T, ok bool) {
 }
 
 // Len returns the number of open keys.
-func (w *Waiters[K, T]) Len() int { return len(w.open) }
+func (w *Waiters[K, T]) Len() int { return w.live }
+
+// home returns the slot key's probe run starts at.
+func (w *Waiters[K, T]) home(key K) int {
+	return int(uint64(key) * fibMul >> w.shift)
+}
+
+// find returns key's slot and true, or false and the empty slot that
+// ends key's probe run (-1 when the table is not built yet).
+func (w *Waiters[K, T]) find(key K) (int, bool) {
+	if len(w.slots) == 0 {
+		return -1, false
+	}
+	mask := len(w.slots) - 1
+	for i := w.home(key); ; i = (i + 1) & mask {
+		s := &w.slots[i]
+		if s.list.tail == 0 {
+			return i, false
+		}
+		if s.key == key {
+			return i, true
+		}
+	}
+}
+
+// claim opens key in slot i, the empty slot find returned for it,
+// growing the table first when the new key would take it past ¾
+// load. It returns the key's (empty) list.
+func (w *Waiters[K, T]) claim(i int, key K) *WaitList {
+	if 4*(w.live+1) > 3*len(w.slots) {
+		w.grow()
+		i, _ = w.find(key)
+	}
+	w.live++
+	s := &w.slots[i]
+	s.key = key
+	return &s.list
+}
+
+// grow doubles the table (or builds the first one) and re-inserts
+// every open key.
+func (w *Waiters[K, T]) grow() {
+	old := w.slots
+	n := 2 * len(old)
+	if n == 0 {
+		n = waitMinSlots
+	}
+	w.slots = make([]waitSlot[K], n)
+	w.shift = uint8(64 - bits.TrailingZeros(uint(n)))
+	mask := n - 1
+	for _, s := range old {
+		if s.list.tail == 0 {
+			continue
+		}
+		i := w.home(s.key)
+		for w.slots[i].list.tail != 0 {
+			i = (i + 1) & mask
+		}
+		w.slots[i] = s
+	}
+}
+
+// remove empties slot i, then walks the rest of its probe run and
+// shifts back each entry whose home lies at or before the hole, so
+// every key stays reachable from its home without tombstones.
+func (w *Waiters[K, T]) remove(i int) {
+	mask := len(w.slots) - 1
+	for j := (i + 1) & mask; w.slots[j].list.tail != 0; j = (j + 1) & mask {
+		// Entry j may fill the hole at i when its probe distance is at
+		// least the hole's distance behind it.
+		if (j-w.home(w.slots[j].key))&mask >= (j-i)&mask {
+			w.slots[i] = w.slots[j]
+			i = j
+		}
+	}
+	w.slots[i] = waitSlot[K]{}
+	w.live--
+}
 
 // node returns arena node i.
 func (w *Waiters[K, T]) node(i int32) *waitNode[T] {
@@ -123,7 +226,7 @@ func (w *Waiters[K, T]) push(l *WaitList, v T) {
 		w.used++
 	}
 	*w.node(n) = waitNode[T]{v: v}
-	if l.tail == 0 {
+	if l.tail <= 0 { // empty: never used, or opened with no waiters
 		l.head = n
 	} else {
 		w.node(l.tail).next = n

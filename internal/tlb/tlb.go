@@ -74,12 +74,14 @@ func (s Stats) HitRate() float64 {
 // so the probe and the LRU scan each read exactly one array. Only the
 // frame number is stored per way: the rest of an Entry is its key
 // (Key.Entry reconstructs it exactly), so fills and evictions move 8
-// bytes of payload instead of 24.
+// bytes of payload instead of 24. A per-set count of valid ways lets
+// Insert skip the free-way scan once a set is full.
 type TLB struct {
 	name    string
 	keys    []Key
 	pfns    []vm.PFN
 	stamps  []uint64
+	valid   []int32 // valid ways per set
 	ways    int
 	numSets uint64
 	clock   uint64
@@ -100,6 +102,7 @@ func New(name string, entries, ways int) *TLB {
 		keys:    make([]Key, entries),
 		pfns:    make([]vm.PFN, entries),
 		stamps:  make([]uint64, entries),
+		valid:   make([]int32, numSets),
 	}
 }
 
@@ -112,10 +115,11 @@ func (t *TLB) Entries() int { return len(t.keys) }
 // Stats returns a copy of the counters.
 func (t *TLB) Stats() Stats { return t.stats }
 
+// set returns key's set index.
+func (t *TLB) set(k Key) int { return int(uint64(k.VPN()) % t.numSets) }
+
 // base returns the first way index of key's set.
-func (t *TLB) base(k Key) int {
-	return int(uint64(k.VPN()) % t.numSets * uint64(t.ways))
-}
+func (t *TLB) base(k Key) int { return t.set(k) * t.ways }
 
 // Lookup searches for key; on a hit the entry becomes MRU.
 func (t *TLB) Lookup(key Key) (Entry, bool) {
@@ -148,55 +152,56 @@ func (t *TLB) Probe(key Key) (Entry, bool) {
 // the evicted victim entry, if any. Inserting a key that is already
 // present refreshes the existing way instead of duplicating it.
 //
-// The single pass records the first match, first free way, and LRU way
-// simultaneously, then applies them in the same priority order the
-// three-scan version used (refresh > free fill > eviction).
+// Priority is refresh > free fill > eviction. A free fill takes the
+// lowest-index free way and an eviction the minimum stamp, so way
+// placement (and ForEach order) depends only on the operation
+// sequence. The set's valid count skips the free-way scan once the set
+// is full, the steady state of a fully-associative L1 TLB.
 func (t *TLB) Insert(e Entry) (victim Entry, evicted bool) {
 	key := e.Key()
-	b := t.base(key)
+	set := t.set(key)
+	b := set * t.ways
+	keys, stamps := t.keys[b:b+t.ways], t.stamps[b:b+t.ways]
 	t.clock++
-	free, lru := -1, b
-	for i := b; i < b+t.ways; i++ {
-		s := t.stamps[i]
-		if s == 0 {
-			if free < 0 {
-				free = i
-			}
-			continue
-		}
-		if t.keys[i] == key {
+	for i, k := range keys {
+		if k == key && stamps[i] != 0 {
 			// Refresh on re-insert.
-			t.pfns[i] = e.PFN
-			t.stamps[i] = t.clock
+			t.pfns[b+i] = e.PFN
+			stamps[i] = t.clock
 			return Entry{}, false
 		}
-		if s < t.stamps[lru] {
-			lru = i
-		}
 	}
-	if free >= 0 {
-		t.keys[free] = key
-		t.pfns[free] = e.PFN
-		t.stamps[free] = t.clock
-		t.stats.Fills++
-		return Entry{}, false
-	}
-	victim = t.keys[lru].Entry(t.pfns[lru])
-	t.keys[lru] = key
-	t.pfns[lru] = e.PFN
-	t.stamps[lru] = t.clock
 	t.stats.Fills++
-	t.stats.Evictions++
-	return victim, true
+	w := 0
+	if t.valid[set] < int32(t.ways) {
+		for stamps[w] != 0 {
+			w++
+		}
+		t.valid[set]++
+	} else {
+		for i := 1; i < len(stamps); i++ {
+			if stamps[i] < stamps[w] {
+				w = i
+			}
+		}
+		victim, evicted = keys[w].Entry(t.pfns[b+w]), true
+		t.stats.Evictions++
+	}
+	keys[w] = key
+	t.pfns[b+w] = e.PFN
+	stamps[w] = t.clock
+	return victim, evicted
 }
 
 // Invalidate removes key if present (TLB shootdown, §7.1) and reports
 // whether an entry was removed.
 func (t *TLB) Invalidate(key Key) bool {
-	b := t.base(key)
+	set := t.set(key)
+	b := set * t.ways
 	for i := b; i < b+t.ways; i++ {
 		if t.keys[i] == key && t.stamps[i] != 0 {
 			t.stamps[i] = 0
+			t.valid[set]--
 			t.stats.Shootdowns++
 			return true
 		}
@@ -206,18 +211,15 @@ func (t *TLB) Invalidate(key Key) bool {
 
 // Flush invalidates everything.
 func (t *TLB) Flush() {
-	for i := range t.stamps {
-		t.stamps[i] = 0
-	}
+	clear(t.stamps)
+	clear(t.valid)
 }
 
 // Occupied returns the number of valid entries.
 func (t *TLB) Occupied() int {
 	n := 0
-	for i := range t.stamps {
-		if t.stamps[i] != 0 {
-			n++
-		}
+	for _, v := range t.valid {
+		n += int(v)
 	}
 	return n
 }

@@ -1,6 +1,8 @@
 package tlb
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -277,3 +279,128 @@ func join(c *Coalescer, key Key, done func(Entry)) bool {
 }
 
 func runEntryFunc(ctx any, e Entry) { ctx.(func(Entry))(e) }
+
+// refInsert is the single-pass Insert that per-set valid counts
+// replaced: one scan records the first match, the first free way and
+// the LRU way, then applies them as refresh > free fill > eviction. It
+// is the oracle for TestInsertMatchesSinglePassReference. It leaves
+// t.valid alone, so the TLB it fills must not be asked for Occupied.
+func refInsert(t *TLB, e Entry) (victim Entry, evicted bool) {
+	key := e.Key()
+	b := t.base(key)
+	t.clock++
+	free, lru := -1, b
+	for i := b; i < b+t.ways; i++ {
+		s := t.stamps[i]
+		if s == 0 {
+			if free < 0 {
+				free = i
+			}
+			continue
+		}
+		if t.keys[i] == key {
+			t.pfns[i] = e.PFN
+			t.stamps[i] = t.clock
+			return Entry{}, false
+		}
+		if s < t.stamps[lru] {
+			lru = i
+		}
+	}
+	if free >= 0 {
+		t.keys[free] = key
+		t.pfns[free] = e.PFN
+		t.stamps[free] = t.clock
+		t.stats.Fills++
+		return Entry{}, false
+	}
+	victim = t.keys[lru].Entry(t.pfns[lru])
+	t.keys[lru] = key
+	t.pfns[lru] = e.PFN
+	t.stamps[lru] = t.clock
+	t.stats.Fills++
+	t.stats.Evictions++
+	return victim, true
+}
+
+// entries returns t's valid entries in ForEach order.
+func entries(t *TLB) []Entry {
+	var es []Entry
+	t.ForEach(func(e Entry) { es = append(es, e) })
+	return es
+}
+
+// Random Insert/Lookup/Invalidate/Flush sequences give the same victims,
+// evicted flags, Stats and ForEach order (so the same way placement)
+// as the single-pass reference, on the L1 TLB's 32-entry
+// fully-associative geometry and the L2 TLB's 512-entry 16-way one.
+func TestInsertMatchesSinglePassReference(t *testing.T) {
+	for _, g := range []struct{ entries, ways int }{{32, 32}, {512, 16}} {
+		rng := rand.New(rand.NewSource(int64(g.entries)))
+		got, ref := New("got", g.entries, g.ways), New("ref", g.entries, g.ways)
+		for step := 0; step < 30000; step++ {
+			// Three keys per entry: hits, refreshes, free fills after
+			// shootdowns and evictions all occur.
+			e := Entry{Space: []vm.SpaceID{spaceA, spaceB}[rng.Intn(2)],
+				VPN: vm.VPN(rng.Intn(3 * g.entries / 2)), PFN: vm.PFN(rng.Intn(1 << 20))}
+			switch r := rng.Intn(2000); {
+			case r < 1000:
+				gv, ge := got.Insert(e)
+				rv, re := refInsert(ref, e)
+				if gv != rv || ge != re {
+					t.Fatalf("%d/%d step %d: Insert(%+v) = %+v, %v; reference %+v, %v", g.entries, g.ways, step, e, gv, ge, rv, re)
+				}
+			case r < 1700:
+				ge, gok := got.Lookup(e.Key())
+				re, rok := ref.Lookup(e.Key())
+				if ge != re || gok != rok {
+					t.Fatalf("%d/%d step %d: Lookup = %+v, %v; reference %+v, %v", g.entries, g.ways, step, ge, gok, re, rok)
+				}
+			case r < 1999:
+				if got.Invalidate(e.Key()) != ref.Invalidate(e.Key()) {
+					t.Fatalf("%d/%d step %d: Invalidate disagrees", g.entries, g.ways, step)
+				}
+			default:
+				got.Flush()
+				ref.Flush()
+			}
+			if got.Stats() != ref.Stats() {
+				t.Fatalf("%d/%d step %d: Stats %+v; reference %+v", g.entries, g.ways, step, got.Stats(), ref.Stats())
+			}
+			ges, res := entries(got), entries(ref)
+			if !slices.Equal(ges, res) {
+				t.Fatalf("%d/%d step %d: ForEach order differs from the reference", g.entries, g.ways, step)
+			}
+			if got.Occupied() != len(ges) {
+				t.Fatalf("%d/%d step %d: Occupied = %d with %d valid entries", g.entries, g.ways, step, got.Occupied(), len(ges))
+			}
+		}
+		if s := ref.Stats(); s.Evictions == 0 || s.Shootdowns == 0 || s.Hits == 0 {
+			t.Fatalf("%d/%d: the sequence missed a case: %+v", g.entries, g.ways, s)
+		}
+	}
+}
+
+// BenchmarkTLBInsert fills a TLB, then inserts a stream of four times
+// its capacity in distinct keys, so every Insert misses on a full set
+// and evicts: the L1 TLB's 32-way fully-associative set and the L2
+// TLB's 512-entry 16-way geometry.
+func BenchmarkTLBInsert(b *testing.B) {
+	for _, g := range []struct {
+		name          string
+		entries, ways int
+	}{{"fa32", 32, 32}, {"sa512x16", 512, 16}} {
+		b.Run(g.name, func(b *testing.B) {
+			tl := New(g.name, g.entries, g.ways)
+			span := vm.VPN(4 * g.entries)
+			for v := vm.VPN(0); v < span; v++ {
+				tl.Insert(entry(spaceA, v))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tl.Insert(entry(spaceA, vm.VPN(i)%span))
+			}
+		})
+	}
+}
