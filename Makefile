@@ -5,9 +5,9 @@
 #   make lint         go vet + gofmt + the repo's own analyzers (cmd/gpureachvet,
 #                     with -stale-allows so waivers that suppress nothing fail too)
 #   make bench        microbenchmarks: the internal/sim event engine and
-#                     waiter table, internal/tlb Insert (repeated-trial
-#                     perf measurements with host fingerprints:
-#                     bash perfbench/run.sh)
+#                     waiter table, internal/tlb Insert and internal/cache
+#                     AccessEvent (repeated-trial perf measurements with
+#                     host fingerprints: bash perfbench/run.sh)
 #   make bench-smoke  one-iteration pass over every benchmark (CI keeps them
 #                     compiling and running; no stable numbers expected)
 #   make allocs       the core allocation budgets (-v, so each prints its
@@ -59,10 +59,10 @@ lint:
 	$(GO) run ./cmd/gpureachvet -stale-allows ./...
 
 bench:
-	$(GO) test -bench=. -benchmem -run NONE ./internal/sim/ ./internal/tlb/
+	$(GO) test -bench=. -benchmem -run NONE ./internal/sim/ ./internal/tlb/ ./internal/cache/
 
 bench-smoke:
-	$(GO) test -bench=. -benchtime 1x -benchmem -run NONE ./internal/sim/ ./internal/tlb/
+	$(GO) test -bench=. -benchtime 1x -benchmem -run NONE ./internal/sim/ ./internal/tlb/ ./internal/cache/
 
 allocs:
 	$(GO) test -count=1 -v -run 'TestFullDetailRunAllocBudget|TestNewSystemByteBudget' ./internal/core/

@@ -39,15 +39,9 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Accesses)
 }
 
-// line is one 16-byte way. tag packs lineAddr<<lineTagShift with the
-// dirty and valid bits, so a way probe compares one word (a line
-// address needs at most 62 bits, far above any simulated memory);
-// stamp is the LRU clock of the line's last touch.
-type line struct {
-	tag   uint64
-	stamp uint64
-}
-
+// A way's tag packs lineAddr<<lineTagShift with the dirty and valid
+// bits, so a way probe compares one word (a line address needs at most
+// 62 bits, far above any simulated memory). An empty way's tag is 0.
 const (
 	lineValid    = 1
 	lineDirty    = 2
@@ -86,14 +80,16 @@ type Cache struct {
 	name   string
 	eng    *sim.Engine
 	parent Memory
-	// lines holds all sets contiguously: set s is lines[s*ways:(s+1)*ways].
-	lines      []line
+	// tags holds all sets contiguously: set s is tags[s*ways:(s+1)*ways].
+	// Only Flush invalidates lines, and it empties every set, so a set's
+	// valid ways are always its first lru.Len(s).
+	tags       []uint64
+	lru        sim.LRU
 	numSets    uint64
 	ways       int
 	lineBits   uint
 	hitLatency sim.Time
 	port       *sim.Port
-	clock      uint64
 	mshr       sim.Waiters[uint64, waiter]
 	missPool   sim.Pool[miss]
 	stats      Stats
@@ -137,7 +133,8 @@ func New(eng *sim.Engine, cfg Config, parent Memory) *Cache {
 		lineBits:   lineBits,
 		hitLatency: cfg.HitLatency,
 		port:       sim.NewPort(eng, cfg.PortInterval),
-		lines:      make([]line, lines),
+		tags:       make([]uint64, lines),
+		lru:        sim.NewLRU(numSets, cfg.Ways),
 		numSets:    uint64(numSets),
 	}
 }
@@ -158,26 +155,24 @@ func (c *Cache) lineAddr(addr vm.PA) uint64 { return uint64(addr) >> c.lineBits 
 // page-table node arrays) otherwise resonate onto a handful of sets and
 // the model falls into interleaving-sensitive conflict-thrash regimes
 // that no real memory system exhibits.
-func (c *Cache) set(lineAddr uint64) []line {
+func (c *Cache) set(lineAddr uint64) int {
 	h := lineAddr ^ lineAddr>>12 ^ lineAddr>>23
-	s := h % c.numSets
-	return c.lines[s*uint64(c.ways) : (s+1)*uint64(c.ways)]
+	return int(h % c.numSets)
 }
 
-// lookup returns the way index of lineAddr in its set, or -1.
-func (c *Cache) lookup(lineAddr uint64) int {
-	return findWay(c.set(lineAddr), lineAddr)
-}
-
-// findWay scans one set for lineAddr, returning its way index or -1.
-func findWay(set []line, lineAddr uint64) int {
+// find returns lineAddr's set, the set's tags and the line's way in
+// it, or way -1. It reads the set's tags only: 64 bytes of an 8-way
+// set, 128 of a 16-way one.
+func (c *Cache) find(lineAddr uint64) (s int, tags []uint64, way int) {
+	s = c.set(lineAddr)
+	tags = c.tags[s*c.ways : (s+1)*c.ways]
 	want := lineTag(lineAddr, false)
-	for i := range set {
-		if set[i].tag&^lineDirty == want {
-			return i
+	for i, g := range tags {
+		if g&^lineDirty == want {
+			return s, tags, i
 		}
 	}
-	return -1
+	return s, tags, -1
 }
 
 // nop discards a completion (fire-and-forget writebacks).
@@ -212,13 +207,11 @@ func (c *Cache) AccessEvent(addr vm.PA, write bool, h sim.Handler, ctx any) {
 	grant := c.port.Acquire()
 	la := c.lineAddr(addr)
 	c.stats.Accesses++
-	c.clock++
 
-	set := c.set(la)
-	if w := findWay(set, la); w >= 0 {
-		set[w].stamp = c.clock
+	if s, tags, w := c.find(la); w >= 0 {
+		c.lru.Touch(s, w)
 		if write {
-			set[w].tag |= lineDirty
+			tags[w] |= lineDirty
 		}
 		c.stats.Hits++
 		c.eng.AtEvent(grant+c.hitLatency, h, ctx)
@@ -238,36 +231,27 @@ func (c *Cache) AccessEvent(addr vm.PA, write bool, h sim.Handler, ctx any) {
 }
 
 // fill installs lineAddr, evicting LRU and writing back dirty victims.
+// A set fills in way order, so its first free way is its LRU length.
 func (c *Cache) fill(lineAddr uint64, dirty bool) {
-	set := c.set(lineAddr)
-	if w := findWay(set, lineAddr); w >= 0 {
+	s, tags, w := c.find(lineAddr)
+	if w >= 0 {
 		// Raced with another fill of the same line.
 		if dirty {
-			set[w].tag |= lineDirty
+			tags[w] |= lineDirty
 		}
 		return
 	}
-	c.clock++
-	victim := -1
-	for i := range set {
-		if set[i].tag&lineValid == 0 {
-			victim = i
-			break
-		}
-	}
-	if victim < 0 {
-		victim = 0
-		for i := 1; i < len(set); i++ {
-			if set[i].stamp < set[victim].stamp {
-				victim = i
-			}
-		}
-		if set[victim].tag&lineDirty != 0 {
-			c.writeback(set[victim].tag)
+	if w = c.lru.Len(s); w < c.ways {
+		c.lru.Add(s, w)
+	} else {
+		w = c.lru.Oldest(s)
+		if tags[w]&lineDirty != 0 {
+			c.writeback(tags[w])
 		}
 		c.stats.Evictions++
+		c.lru.Touch(s, w)
 	}
-	set[victim] = line{tag: lineTag(lineAddr, dirty), stamp: c.clock}
+	tags[w] = lineTag(lineAddr, dirty)
 }
 
 // writeback sends a dirty line's data to the parent, fire-and-forget.
@@ -279,16 +263,20 @@ func (c *Cache) writeback(tag uint64) {
 
 // Contains reports whether the line holding addr is resident (no LRU or
 // counter side effects).
-func (c *Cache) Contains(addr vm.PA) bool { return c.lookup(c.lineAddr(addr)) >= 0 }
+func (c *Cache) Contains(addr vm.PA) bool {
+	_, _, w := c.find(c.lineAddr(addr))
+	return w >= 0
+}
 
 // Flush invalidates the whole cache, writing back dirty lines.
 func (c *Cache) Flush() {
-	for i := range c.lines {
-		if c.lines[i].tag&lineDirty != 0 {
-			c.writeback(c.lines[i].tag)
+	for _, g := range c.tags {
+		if g&lineDirty != 0 {
+			c.writeback(g)
 		}
-		c.lines[i] = line{}
 	}
+	clear(c.tags)
+	c.lru.Reset()
 }
 
 // LineBytes returns the cache's line size.

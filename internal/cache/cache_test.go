@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"gpureach/internal/sim"
@@ -263,10 +265,10 @@ func TestHashedSetsRetainLines(t *testing.T) {
 // sameSet returns n line addresses other than addr's that the cache's
 // hashed index maps to addr's set.
 func sameSet(c *Cache, addr vm.PA, n int) []vm.PA {
-	home := &c.set(c.lineAddr(addr))[0]
+	home := c.set(c.lineAddr(addr))
 	var out []vm.PA
 	for la := uint64(1); len(out) < n; la++ {
-		if la != c.lineAddr(addr) && &c.set(la)[0] == home {
+		if la != c.lineAddr(addr) && c.set(la) == home {
 			out = append(out, vm.PA(la<<c.lineBits))
 		}
 	}
@@ -321,6 +323,280 @@ func TestMergedWriteLeavesLineDirty(t *testing.T) {
 		eng.Run()
 		if len(mem.written) != 1 || mem.written[0] != 0 {
 			t.Errorf("write first=%v: wrote back %#x, want [0x0]", first, mem.written)
+		}
+	}
+}
+
+// refCache is the stamp-scan cache that per-set LRU lists replaced: a
+// 16-byte line holds its packed tag and the clock of its last touch,
+// a fill takes the first invalid way, else the minimum stamp. It is
+// the oracle for TestAccessMatchesStampReference, and it keeps the
+// event flow (port, MSHR merging, fills on the parent's completion)
+// so that merged misses and raced fills are compared too.
+type refCache struct {
+	eng        *sim.Engine
+	parent     Memory
+	lines      []refLine
+	numSets    uint64
+	ways       int
+	lineBits   uint
+	hitLatency sim.Time
+	port       *sim.Port
+	clock      uint64
+	mshr       sim.Waiters[uint64, waiter]
+	stats      Stats
+}
+
+type refLine struct {
+	tag   uint64
+	stamp uint64
+}
+
+type refMiss struct {
+	c    *refCache
+	la   uint64
+	addr vm.PA
+}
+
+func newRefCache(eng *sim.Engine, cfg Config, parent Memory) *refCache {
+	lineBits := uint(0)
+	for v := cfg.LineBytes; v > 1; v >>= 1 {
+		lineBits++
+	}
+	lines := cfg.SizeBytes / cfg.LineBytes
+	return &refCache{eng: eng, parent: parent, lines: make([]refLine, lines),
+		numSets: uint64(lines / cfg.Ways), ways: cfg.Ways, lineBits: lineBits,
+		hitLatency: cfg.HitLatency, port: sim.NewPort(eng, cfg.PortInterval)}
+}
+
+func (c *refCache) set(la uint64) []refLine {
+	s := (la ^ la>>12 ^ la>>23) % c.numSets
+	return c.lines[s*uint64(c.ways) : (s+1)*uint64(c.ways)]
+}
+
+func refFindWay(set []refLine, la uint64) int {
+	want := lineTag(la, false)
+	for i := range set {
+		if set[i].tag&^lineDirty == want {
+			return i
+		}
+	}
+	return -1
+}
+
+func refMissStart(x any) {
+	m := x.(*refMiss)
+	m.c.parent.AccessEvent(m.addr, false, refMissDone, m)
+}
+
+func refMissDone(x any) {
+	m := x.(*refMiss)
+	c, la := m.c, m.la
+	l, _ := c.mshr.Take(la)
+	for w, ok := c.mshr.Pop(&l); ok; w, ok = c.mshr.Pop(&l) {
+		c.fill(la, w.write)
+		w.h(w.ctx)
+	}
+}
+
+func (c *refCache) AccessEvent(addr vm.PA, write bool, h sim.Handler, ctx any) {
+	grant := c.port.Acquire()
+	la := uint64(addr) >> c.lineBits
+	c.stats.Accesses++
+	c.clock++
+	set := c.set(la)
+	if w := refFindWay(set, la); w >= 0 {
+		set[w].stamp = c.clock
+		if write {
+			set[w].tag |= lineDirty
+		}
+		c.stats.Hits++
+		c.eng.AtEvent(grant+c.hitLatency, h, ctx)
+		return
+	}
+	c.stats.Misses++
+	if !c.mshr.Wait(la, waiter{h: h, ctx: ctx, write: write}) {
+		c.stats.MergedMiss++
+		return
+	}
+	c.eng.AtEvent(grant+c.hitLatency, refMissStart, &refMiss{c: c, la: la, addr: addr})
+}
+
+func (c *refCache) fill(la uint64, dirty bool) {
+	set := c.set(la)
+	if w := refFindWay(set, la); w >= 0 {
+		if dirty {
+			set[w].tag |= lineDirty
+		}
+		return
+	}
+	c.clock++
+	victim := -1
+	for i := range set {
+		if set[i].tag&lineValid == 0 {
+			victim = i
+			break
+		}
+	}
+	if victim < 0 {
+		victim = 0
+		for i := 1; i < len(set); i++ {
+			if set[i].stamp < set[victim].stamp {
+				victim = i
+			}
+		}
+		if set[victim].tag&lineDirty != 0 {
+			c.writeback(set[victim].tag)
+		}
+		c.stats.Evictions++
+	}
+	set[victim] = refLine{tag: lineTag(la, dirty), stamp: c.clock}
+}
+
+func (c *refCache) writeback(tag uint64) {
+	c.stats.Writebacks++
+	c.parent.AccessEvent(vm.PA(tag>>lineTagShift<<c.lineBits), true, nop, nil)
+}
+
+func (c *refCache) Contains(addr vm.PA) bool {
+	la := uint64(addr) >> c.lineBits
+	return refFindWay(c.set(la), la) >= 0
+}
+
+func (c *refCache) Flush() {
+	for i := range c.lines {
+		if c.lines[i].tag&lineDirty != 0 {
+			c.writeback(c.lines[i].tag)
+		}
+		c.lines[i] = refLine{}
+	}
+}
+
+// Random batches of concurrent reads and writes, with an occasional
+// Flush, complete in the same order at the same cycles and leave the
+// same stats, writeback addresses and resident lines as the
+// stamp-scan reference, on the L1D's 32KB 8-way geometry and the L2's
+// 4MB 16-way one. The addresses are lines of four sets, one and a half
+// times as many as the sets have ways, above 4GB so the packed tag's
+// high bits are live: sets fill, evict dirty and clean victims, and
+// refill after a flush.
+func TestAccessMatchesStampReference(t *testing.T) {
+	for _, cfg := range []Config{
+		{Name: "l1d", SizeBytes: 32 << 10, LineBytes: 64, Ways: 8, HitLatency: 4, PortInterval: 1},
+		{Name: "l2", SizeBytes: 4 << 20, LineBytes: 64, Ways: 16, HitLatency: 20, PortInterval: 1},
+	} {
+		t.Run(cfg.Name, func(t *testing.T) {
+			type done struct {
+				id int
+				at sim.Time
+			}
+			gotEng, refEng := sim.NewEngine(), sim.NewEngine()
+			gotMem := &fakeMem{eng: gotEng, latency: 50}
+			refMem := &fakeMem{eng: refEng, latency: 50}
+			got, ref := New(gotEng, cfg, gotMem), newRefCache(refEng, cfg, refMem)
+
+			perSet := map[int]int{}
+			var pool []vm.PA
+			for la := uint64(1) << 26; len(pool) < 4*cfg.Ways*3/2; la++ {
+				s := got.set(la)
+				if (len(perSet) < 4 || perSet[s] > 0) && perSet[s] < cfg.Ways*3/2 {
+					perSet[s]++
+					pool = append(pool, vm.PA(la<<got.lineBits))
+				}
+			}
+
+			rng := rand.New(rand.NewSource(int64(cfg.Ways)))
+			var gotLog, refLog []done
+			flushes := 0
+			for step, id := 0, 0; step < 4000; step++ {
+				if rng.Intn(100) == 0 {
+					got.Flush()
+					ref.Flush()
+					flushes++
+				} else {
+					for k := 1 + rng.Intn(4); k > 0; k-- {
+						addr := pool[rng.Intn(len(pool))] + vm.PA(rng.Intn(64))
+						write := rng.Intn(3) == 0
+						i := id
+						access(got, addr, write, func() { gotLog = append(gotLog, done{i, gotEng.Now()}) })
+						access(ref, addr, write, func() { refLog = append(refLog, done{i, refEng.Now()}) })
+						id++
+					}
+				}
+				gotEng.Run()
+				refEng.Run()
+				if got.Stats() != ref.stats {
+					t.Fatalf("step %d: Stats %+v; reference %+v", step, got.Stats(), ref.stats)
+				}
+				if !slices.Equal(gotLog, refLog) {
+					t.Fatalf("step %d: completions differ from the reference", step)
+				}
+				if !slices.Equal(gotMem.written, refMem.written) {
+					t.Fatalf("step %d: writebacks %#x; reference %#x", step, gotMem.written, refMem.written)
+				}
+				for _, a := range pool {
+					if got.Contains(a) != ref.Contains(a) {
+						t.Fatalf("step %d: Contains(%#x) = %v; reference %v", step, a, got.Contains(a), ref.Contains(a))
+					}
+				}
+			}
+			if s := ref.stats; s.Evictions == 0 || s.Writebacks == 0 || s.MergedMiss == 0 || s.Hits == 0 || flushes == 0 {
+				t.Fatalf("the sequence missed a case: %+v, %d flushes", s, flushes)
+			}
+		})
+	}
+}
+
+// benchMem completes every access after a fixed latency and records
+// nothing, so a benchmark's memory stays flat.
+type benchMem struct{ eng *sim.Engine }
+
+func (m benchMem) AccessEvent(_ vm.PA, _ bool, h sim.Handler, ctx any) {
+	m.eng.AfterEvent(100, h, ctx)
+}
+
+// BenchmarkCacheAccess issues accesses through AccessEvent, running the
+// engine after every 64, on the L1D's 32KB 8-way geometry and the L2's
+// 4MB 16-way one; a third are writes. hit cycles over half the cache's
+// lines in address order, which the hashed index spreads evenly over
+// the sets, so every access hits. evict cycles over four times the
+// cache's lines, so every access misses and fills a full set by
+// evicting its LRU line.
+func BenchmarkCacheAccess(b *testing.B) {
+	for _, cfg := range []Config{
+		{Name: "l1d", SizeBytes: 32 << 10, LineBytes: 64, Ways: 8, HitLatency: 4, PortInterval: 1},
+		{Name: "l2", SizeBytes: 4 << 20, LineBytes: 64, Ways: 16, HitLatency: 20, PortInterval: 1},
+	} {
+		lines := cfg.SizeBytes / cfg.LineBytes
+		for _, mode := range []struct {
+			name string
+			span int
+		}{{"hit", lines / 2}, {"evict", 4 * lines}} {
+			b.Run(cfg.Name+"/"+mode.name, func(b *testing.B) {
+				eng := sim.NewEngine()
+				c := New(eng, cfg, benchMem{eng})
+				access := func(i int) {
+					c.AccessEvent(vm.PA(i%mode.span*cfg.LineBytes), i%3 == 0, nop, nil)
+					if i%64 == 63 {
+						eng.Run()
+					}
+				}
+				for i := 0; i < mode.span; i++ {
+					access(i)
+				}
+				eng.Run()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					access(i)
+				}
+				eng.Run()
+				b.StopTimer()
+				// Only the warm-up's compulsory misses, or no hits at all.
+				if s := c.Stats(); mode.name == "hit" && s.Misses != uint64(mode.span) || mode.name == "evict" && s.Hits != 0 {
+					b.Fatalf("%s: %+v", mode.name, s)
+				}
+			})
 		}
 	}
 }

@@ -8,6 +8,7 @@ package tlb
 import (
 	"fmt"
 
+	"gpureach/internal/sim"
 	"gpureach/internal/vm"
 )
 
@@ -67,26 +68,31 @@ func (s Stats) HitRate() float64 {
 //
 // Ways are stored as parallel per-field arrays (set s occupies index
 // range [s*ways, (s+1)*ways) in each), not an array of way structs: a
-// fully-associative lookup is a linear probe over every way's key, and
-// scanning a dense key array touches an eighth of the memory the
-// struct-per-way layout did. The stamp array doubles as the valid
-// marker — stamp 0 means the way is empty (the LRU clock starts at 1),
-// so the probe and the LRU scan each read exactly one array. Only the
-// frame number is stored per way: the rest of an Entry is its key
-// (Key.Entry reconstructs it exactly), so fills and evictions move 8
-// bytes of payload instead of 24. A per-set count of valid ways lets
-// Insert skip the free-way scan once a set is full.
+// fully-associative lookup is a linear probe over every way's tag, and
+// scanning a dense tag array touches an eighth of the memory the
+// struct-per-way layout did. A way's tag packs its key with a valid
+// bit (key<<1 | 1; a key needs at most 40 bits), so an empty way's tag
+// is 0 and the probe compares one word per way. Only the frame number
+// is stored per way: the rest of an Entry is its key (Key.Entry
+// reconstructs it exactly), so fills and evictions move 8 bytes of
+// payload instead of 24. Recency lives in a sim.LRU, whose per-set
+// length and oldest way replace a free-way scan of a full set and a
+// scan for the least recently used way.
 type TLB struct {
 	name    string
-	keys    []Key
+	tags    []uint64
 	pfns    []vm.PFN
-	stamps  []uint64
-	valid   []int32 // valid ways per set
+	lru     sim.LRU
 	ways    int
 	numSets uint64
-	clock   uint64
 	stats   Stats
 }
+
+// tagOf is the tag of a valid way holding key.
+func tagOf(key Key) uint64 { return uint64(key)<<1 | 1 }
+
+// keyOf is the key a valid way's tag holds.
+func keyOf(tag uint64) Key { return Key(tag >> 1) }
 
 // New creates a TLB with the given geometry. entries must be divisible
 // by ways; ways == entries gives full associativity.
@@ -99,10 +105,9 @@ func New(name string, entries, ways int) *TLB {
 		name:    name,
 		ways:    ways,
 		numSets: uint64(numSets),
-		keys:    make([]Key, entries),
+		tags:    make([]uint64, entries),
 		pfns:    make([]vm.PFN, entries),
-		stamps:  make([]uint64, entries),
-		valid:   make([]int32, numSets),
+		lru:     sim.NewLRU(numSets, ways),
 	}
 }
 
@@ -110,7 +115,7 @@ func New(name string, entries, ways int) *TLB {
 func (t *TLB) Name() string { return t.name }
 
 // Entries returns total capacity.
-func (t *TLB) Entries() int { return len(t.keys) }
+func (t *TLB) Entries() int { return len(t.tags) }
 
 // Stats returns a copy of the counters.
 func (t *TLB) Stats() Stats { return t.stats }
@@ -118,34 +123,39 @@ func (t *TLB) Stats() Stats { return t.stats }
 // set returns key's set index.
 func (t *TLB) set(k Key) int { return int(uint64(k.VPN()) % t.numSets) }
 
-// base returns the first way index of key's set.
-func (t *TLB) base(k Key) int { return t.set(k) * t.ways }
+// find returns key's set and its way within the set, or way -1.
+func (t *TLB) find(key Key) (set, way int) {
+	set = t.set(key)
+	b := set * t.ways
+	want := tagOf(key)
+	for i, g := range t.tags[b : b+t.ways] {
+		if g == want {
+			return set, i
+		}
+	}
+	return set, -1
+}
 
 // Lookup searches for key; on a hit the entry becomes MRU.
 func (t *TLB) Lookup(key Key) (Entry, bool) {
-	b := t.base(key)
-	for i := b; i < b+t.ways; i++ {
-		if t.keys[i] == key && t.stamps[i] != 0 {
-			t.clock++
-			t.stamps[i] = t.clock
-			t.stats.Hits++
-			return key.Entry(t.pfns[i]), true
-		}
+	set, w := t.find(key)
+	if w < 0 {
+		t.stats.Misses++
+		return Entry{}, false
 	}
-	t.stats.Misses++
-	return Entry{}, false
+	t.lru.Touch(set, w)
+	t.stats.Hits++
+	return key.Entry(t.pfns[set*t.ways+w]), true
 }
 
 // Probe is Lookup without touching LRU state or counters — used by
 // sharing analyses (Fig 14a) and tests.
 func (t *TLB) Probe(key Key) (Entry, bool) {
-	b := t.base(key)
-	for i := b; i < b+t.ways; i++ {
-		if t.keys[i] == key && t.stamps[i] != 0 {
-			return key.Entry(t.pfns[i]), true
-		}
+	set, w := t.find(key)
+	if w < 0 {
+		return Entry{}, false
 	}
-	return Entry{}, false
+	return key.Entry(t.pfns[set*t.ways+w]), true
 }
 
 // Insert fills e, replacing the LRU way of its set if full. It returns
@@ -153,82 +163,73 @@ func (t *TLB) Probe(key Key) (Entry, bool) {
 // present refreshes the existing way instead of duplicating it.
 //
 // Priority is refresh > free fill > eviction. A free fill takes the
-// lowest-index free way and an eviction the minimum stamp, so way
-// placement (and ForEach order) depends only on the operation
-// sequence. The set's valid count skips the free-way scan once the set
-// is full, the steady state of a fully-associative L1 TLB.
+// lowest-index free way and an eviction the least recently used one,
+// so way placement (and ForEach order) depends only on the operation
+// sequence. The free-way scan runs only while the set is not full; a
+// full set, the steady state of a fully-associative L1 TLB, evicts
+// its LRU list's tail without a scan.
 func (t *TLB) Insert(e Entry) (victim Entry, evicted bool) {
 	key := e.Key()
-	set := t.set(key)
+	set, w := t.find(key)
 	b := set * t.ways
-	keys, stamps := t.keys[b:b+t.ways], t.stamps[b:b+t.ways]
-	t.clock++
-	for i, k := range keys {
-		if k == key && stamps[i] != 0 {
-			// Refresh on re-insert.
-			t.pfns[b+i] = e.PFN
-			stamps[i] = t.clock
-			return Entry{}, false
-		}
+	if w >= 0 {
+		// Refresh on re-insert.
+		t.pfns[b+w] = e.PFN
+		t.lru.Touch(set, w)
+		return Entry{}, false
 	}
 	t.stats.Fills++
-	w := 0
-	if t.valid[set] < int32(t.ways) {
-		for stamps[w] != 0 {
+	tags := t.tags[b : b+t.ways]
+	if t.lru.Len(set) < t.ways {
+		w = 0
+		for tags[w] != 0 {
 			w++
 		}
-		t.valid[set]++
+		t.lru.Add(set, w)
 	} else {
-		for i := 1; i < len(stamps); i++ {
-			if stamps[i] < stamps[w] {
-				w = i
-			}
-		}
-		victim, evicted = keys[w].Entry(t.pfns[b+w]), true
+		w = t.lru.Oldest(set)
+		victim, evicted = keyOf(tags[w]).Entry(t.pfns[b+w]), true
 		t.stats.Evictions++
+		t.lru.Touch(set, w)
 	}
-	keys[w] = key
+	tags[w] = tagOf(key)
 	t.pfns[b+w] = e.PFN
-	stamps[w] = t.clock
 	return victim, evicted
 }
 
 // Invalidate removes key if present (TLB shootdown, §7.1) and reports
 // whether an entry was removed.
 func (t *TLB) Invalidate(key Key) bool {
-	set := t.set(key)
-	b := set * t.ways
-	for i := b; i < b+t.ways; i++ {
-		if t.keys[i] == key && t.stamps[i] != 0 {
-			t.stamps[i] = 0
-			t.valid[set]--
-			t.stats.Shootdowns++
-			return true
-		}
+	set, w := t.find(key)
+	if w < 0 {
+		return false
 	}
-	return false
+	t.tags[set*t.ways+w] = 0
+	t.lru.Remove(set, w)
+	t.stats.Shootdowns++
+	return true
 }
 
 // Flush invalidates everything.
 func (t *TLB) Flush() {
-	clear(t.stamps)
-	clear(t.valid)
+	clear(t.tags)
+	t.lru.Reset()
 }
 
 // Occupied returns the number of valid entries.
 func (t *TLB) Occupied() int {
 	n := 0
-	for _, v := range t.valid {
-		n += int(v)
+	for s := 0; s < int(t.numSets); s++ {
+		n += t.lru.Len(s)
 	}
 	return n
 }
 
 // ForEach calls fn for every valid entry (iteration order unspecified).
 func (t *TLB) ForEach(fn func(Entry)) {
-	for i := range t.stamps {
-		if t.stamps[i] != 0 {
-			fn(t.keys[i].Entry(t.pfns[i]))
+	for i, g := range t.tags {
+		if g != 0 {
+			fn(keyOf(g).Entry(t.pfns[i]))
 		}
 	}
 }

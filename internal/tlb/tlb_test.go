@@ -280,51 +280,115 @@ func join(c *Coalescer, key Key, done func(Entry)) bool {
 
 func runEntryFunc(ctx any, e Entry) { ctx.(func(Entry))(e) }
 
-// refInsert is the single-pass Insert that per-set valid counts
-// replaced: one scan records the first match, the first free way and
-// the LRU way, then applies them as refresh > free fill > eviction. It
-// is the oracle for TestInsertMatchesSinglePassReference. It leaves
-// t.valid alone, so the TLB it fills must not be asked for Occupied.
-func refInsert(t *TLB, e Entry) (victim Entry, evicted bool) {
+// refTLB is the stamp-model TLB that per-set valid counts and then
+// LRU lists replaced: a way's stamp is the clock of its last touch (0
+// for an empty way), and Insert is one scan that records the first
+// match, the first free way and the minimum-stamp way, then applies
+// them as refresh > free fill > eviction. It is the oracle for
+// TestInsertMatchesSinglePassReference.
+type refTLB struct {
+	keys   []Key
+	pfns   []vm.PFN
+	stamps []uint64
+	ways   int
+	clock  uint64
+	stats  Stats
+}
+
+func newRefTLB(entries, ways int) *refTLB {
+	return &refTLB{keys: make([]Key, entries), pfns: make([]vm.PFN, entries),
+		stamps: make([]uint64, entries), ways: ways}
+}
+
+func (r *refTLB) base(k Key) int {
+	return int(uint64(k.VPN())%uint64(len(r.keys)/r.ways)) * r.ways
+}
+
+// find returns key's way index, or -1.
+func (r *refTLB) find(key Key) int {
+	b := r.base(key)
+	for i := b; i < b+r.ways; i++ {
+		if r.keys[i] == key && r.stamps[i] != 0 {
+			return i
+		}
+	}
+	return -1
+}
+
+func (r *refTLB) Lookup(key Key) (Entry, bool) {
+	i := r.find(key)
+	if i < 0 {
+		r.stats.Misses++
+		return Entry{}, false
+	}
+	r.clock++
+	r.stamps[i] = r.clock
+	r.stats.Hits++
+	return key.Entry(r.pfns[i]), true
+}
+
+func (r *refTLB) Insert(e Entry) (victim Entry, evicted bool) {
 	key := e.Key()
-	b := t.base(key)
-	t.clock++
+	b := r.base(key)
+	r.clock++
 	free, lru := -1, b
-	for i := b; i < b+t.ways; i++ {
-		s := t.stamps[i]
+	for i := b; i < b+r.ways; i++ {
+		s := r.stamps[i]
 		if s == 0 {
 			if free < 0 {
 				free = i
 			}
 			continue
 		}
-		if t.keys[i] == key {
-			t.pfns[i] = e.PFN
-			t.stamps[i] = t.clock
+		if r.keys[i] == key {
+			r.pfns[i] = e.PFN
+			r.stamps[i] = r.clock
 			return Entry{}, false
 		}
-		if s < t.stamps[lru] {
+		if s < r.stamps[lru] {
 			lru = i
 		}
 	}
 	if free >= 0 {
-		t.keys[free] = key
-		t.pfns[free] = e.PFN
-		t.stamps[free] = t.clock
-		t.stats.Fills++
+		r.keys[free] = key
+		r.pfns[free] = e.PFN
+		r.stamps[free] = r.clock
+		r.stats.Fills++
 		return Entry{}, false
 	}
-	victim = t.keys[lru].Entry(t.pfns[lru])
-	t.keys[lru] = key
-	t.pfns[lru] = e.PFN
-	t.stamps[lru] = t.clock
-	t.stats.Fills++
-	t.stats.Evictions++
+	victim = r.keys[lru].Entry(r.pfns[lru])
+	r.keys[lru] = key
+	r.pfns[lru] = e.PFN
+	r.stamps[lru] = r.clock
+	r.stats.Fills++
+	r.stats.Evictions++
 	return victim, true
 }
 
+func (r *refTLB) Invalidate(key Key) bool {
+	i := r.find(key)
+	if i < 0 {
+		return false
+	}
+	r.stamps[i] = 0
+	r.stats.Shootdowns++
+	return true
+}
+
+func (r *refTLB) Flush() { clear(r.stamps) }
+
+func (r *refTLB) Stats() Stats { return r.stats }
+
+func (r *refTLB) ForEach(fn func(Entry)) {
+	for i, s := range r.stamps {
+		if s != 0 {
+			fn(r.keys[i].Entry(r.pfns[i]))
+		}
+	}
+}
+
 // entries returns t's valid entries in ForEach order.
-func entries(t *TLB) []Entry {
+func entries(t interface{ ForEach(func(Entry)) }) []Entry {
 	var es []Entry
 	t.ForEach(func(e Entry) { es = append(es, e) })
 	return es
@@ -332,12 +396,12 @@ func entries(t *TLB) []Entry {
 
 // Random Insert/Lookup/Invalidate/Flush sequences give the same victims,
 // evicted flags, Stats and ForEach order (so the same way placement)
-// as the single-pass reference, on the L1 TLB's 32-entry
+// as the stamp-model reference, on the L1 TLB's 32-entry
 // fully-associative geometry and the L2 TLB's 512-entry 16-way one.
 func TestInsertMatchesSinglePassReference(t *testing.T) {
 	for _, g := range []struct{ entries, ways int }{{32, 32}, {512, 16}} {
 		rng := rand.New(rand.NewSource(int64(g.entries)))
-		got, ref := New("got", g.entries, g.ways), New("ref", g.entries, g.ways)
+		got, ref := New("got", g.entries, g.ways), newRefTLB(g.entries, g.ways)
 		for step := 0; step < 30000; step++ {
 			// Three keys per entry: hits, refreshes, free fills after
 			// shootdowns and evictions all occur.
@@ -346,7 +410,7 @@ func TestInsertMatchesSinglePassReference(t *testing.T) {
 			switch r := rng.Intn(2000); {
 			case r < 1000:
 				gv, ge := got.Insert(e)
-				rv, re := refInsert(ref, e)
+				rv, re := ref.Insert(e)
 				if gv != rv || ge != re {
 					t.Fatalf("%d/%d step %d: Insert(%+v) = %+v, %v; reference %+v, %v", g.entries, g.ways, step, e, gv, ge, rv, re)
 				}

@@ -57,61 +57,56 @@ type Stats struct {
 }
 
 // pwc is a tiny fully-associative page-walk cache over prefix keys with
-// true-LRU replacement, stored as parallel key/stamp arrays (stamp 0
-// means the slot is empty; the clock starts at 1). At 4–32 entries a
-// linear scan is an order of magnitude cheaper than the map this used
-// to be, and both the detailed walkers and fast-forward warming probe
-// these caches on every walk. Stamps are unique, so the min-stamp
-// eviction is exactly the map version's LRU choice.
+// true-LRU replacement: a key array plus a one-set sim.LRU. At 4–32
+// entries a linear scan is an order of magnitude cheaper than the map
+// this used to be, and both the detailed walkers and fast-forward
+// warming probe these caches on every walk. Nothing invalidates an
+// entry, so slots fill in index order and the valid ones are always
+// keys[:lru.Len(0)]: a fill takes the lowest free slot, else the LRU.
 type pwc struct {
-	keys   []uint64
-	stamps []uint64
-	clock  uint64
-	hits   uint64
+	keys []uint64
+	lru  sim.LRU
+	hits uint64
 }
 
 func newPWC(entries int) *pwc {
-	return &pwc{keys: make([]uint64, entries), stamps: make([]uint64, entries)}
+	return &pwc{keys: make([]uint64, entries), lru: sim.NewLRU(1, entries)}
+}
+
+// find returns key's slot, or -1.
+func (p *pwc) find(key uint64) int {
+	for i, k := range p.keys[:p.lru.Len(0)] {
+		if k == key {
+			return i
+		}
+	}
+	return -1
 }
 
 func (p *pwc) probe(key uint64) bool {
-	for i, s := range p.stamps {
-		if s != 0 && p.keys[i] == key {
-			p.clock++
-			p.stamps[i] = p.clock
-			p.hits++
-			return true
-		}
+	i := p.find(key)
+	if i < 0 {
+		return false
 	}
-	return false
+	p.lru.Touch(0, i)
+	p.hits++
+	return true
 }
 
 func (p *pwc) fill(key uint64) {
-	if len(p.keys) == 0 {
+	if i := p.find(key); i >= 0 {
+		p.lru.Touch(0, i) // refresh on re-fill
 		return
 	}
-	p.clock++
-	free, lru := -1, 0
-	for i, s := range p.stamps {
-		if s == 0 {
-			if free < 0 {
-				free = i
-			}
-			continue
-		}
-		if p.keys[i] == key {
-			p.stamps[i] = p.clock // refresh on re-fill
-			return
-		}
-		if s < p.stamps[lru] {
-			lru = i
-		}
+	switch n := p.lru.Len(0); {
+	case n < len(p.keys):
+		p.keys[n] = key
+		p.lru.Add(0, n)
+	case n > 0: // a zero-entry cache holds nothing
+		i := p.lru.Oldest(0)
+		p.keys[i] = key
+		p.lru.Touch(0, i)
 	}
-	if free >= 0 {
-		lru = free
-	}
-	p.keys[lru] = key
-	p.stamps[lru] = p.clock
 }
 
 // walkReq is the pooled context of one translation request, reused

@@ -1,6 +1,8 @@
 package walker
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"gpureach/internal/sim"
@@ -222,14 +224,95 @@ func TestPWCCapacityEviction(t *testing.T) {
 	buf := space.Alloc("A", 4096)
 	io.Translate(space, space.VPN(buf.Base), func(tlb.Entry) {})
 	eng.Run()
-	if len(io.pgd.stamps) > cfg.PGDEntries {
-		t.Errorf("PGD cache holds %d > %d entries", len(io.pgd.stamps), cfg.PGDEntries)
+	if len(io.pgd.keys) > cfg.PGDEntries {
+		t.Errorf("PGD cache holds %d > %d entries", len(io.pgd.keys), cfg.PGDEntries)
 	}
 	for i := uint64(0); i < 100; i++ {
 		io.pmd.fill(i)
 	}
-	if len(io.pmd.stamps) > cfg.PMDEntries {
-		t.Errorf("PMD cache holds %d > %d entries", len(io.pmd.stamps), cfg.PMDEntries)
+	if len(io.pmd.keys) > cfg.PMDEntries {
+		t.Errorf("PMD cache holds %d > %d entries", len(io.pmd.keys), cfg.PMDEntries)
+	}
+}
+
+// refPWC is the stamp-model page-walk cache the LRU list replaced:
+// parallel key and stamp arrays (stamp 0 is an empty slot), a probe
+// hit restamps its slot, and a fill refreshes a present key, else
+// takes the lowest free slot, else the minimum stamp.
+type refPWC struct {
+	keys, stamps []uint64
+	clock, hits  uint64
+}
+
+func (p *refPWC) probe(key uint64) bool {
+	for i, s := range p.stamps {
+		if s != 0 && p.keys[i] == key {
+			p.clock++
+			p.stamps[i] = p.clock
+			p.hits++
+			return true
+		}
+	}
+	return false
+}
+
+func (p *refPWC) fill(key uint64) {
+	if len(p.keys) == 0 {
+		return
+	}
+	p.clock++
+	free, lru := -1, 0
+	for i, s := range p.stamps {
+		if s == 0 {
+			if free < 0 {
+				free = i
+			}
+			continue
+		}
+		if p.keys[i] == key {
+			p.stamps[i] = p.clock
+			return
+		}
+		if s < p.stamps[lru] {
+			lru = i
+		}
+	}
+	if free >= 0 {
+		lru = free
+	}
+	p.keys[lru] = key
+	p.stamps[lru] = p.clock
+}
+
+// Random probes and fills over half again as many keys as slots give
+// the same hits and the same keys in the same slots as the stamp
+// model, on the PGD, PUD and PMD caches' 4, 8 and 32 entries and on a
+// zero-entry cache.
+func TestPWCMatchesStampModel(t *testing.T) {
+	for _, n := range []int{0, 4, 8, 32} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		got := newPWC(n)
+		ref := &refPWC{keys: make([]uint64, n), stamps: make([]uint64, n)}
+		for step := 0; step < 5000; step++ {
+			key := uint64(rng.Intn(n*3/2 + 1))
+			if rng.Intn(2) == 0 {
+				if got.probe(key) != ref.probe(key) {
+					t.Fatalf("%d entries, step %d: probe(%d) disagrees", n, step, key)
+				}
+			} else {
+				got.fill(key)
+				ref.fill(key)
+			}
+			var want []uint64
+			for i, s := range ref.stamps {
+				if s != 0 {
+					want = append(want, ref.keys[i])
+				}
+			}
+			if have := got.keys[:got.lru.Len(0)]; !slices.Equal(have, want) || got.hits != ref.hits {
+				t.Fatalf("%d entries, step %d: slots %v, %d hits; model %v, %d hits", n, step, have, got.hits, want, ref.hits)
+			}
+		}
 	}
 }
 
