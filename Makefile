@@ -30,9 +30,6 @@
 #   make serve-smoke  end-to-end drive of `gpureach serve`: duplicate concurrent
 #                     campaigns over HTTP, event streams, aggregate byte-identity
 #                     vs the CLI sweep, coalesce/cache dedup, SIGTERM drain
-#   make shard-smoke  process-sharded campaign: the same sweep through a
-#                     2-worker `gpureach worker` subprocess fleet and through
-#                     the in-process pool, asserting byte-identical aggregates
 #   make coverage     statement-coverage gate: internal/sample and
 #                     internal/stats must each cover >= 85%
 #   make loc          net production LOC: lines of non-test .go files
@@ -42,7 +39,7 @@ GO ?= go
 
 .DEFAULT_GOAL := tier1
 
-.PHONY: tier1 tier2 lint bench bench-smoke allocs perfbench-selftest exp-smoke sweep-smoke chaos-smoke sample-smoke serve-smoke shard-smoke coverage loc
+.PHONY: tier1 tier2 lint bench bench-smoke allocs perfbench-selftest exp-smoke sweep-smoke chaos-smoke sample-smoke serve-smoke coverage loc
 
 tier1:
 	$(GO) build ./...
@@ -128,20 +125,6 @@ sample-smoke:
 
 serve-smoke:
 	GO="$(GO)" sh scripts/serve_smoke.sh
-
-# The fleet workers are spawned from the campaign binary itself
-# (os.Executable + "worker"), so the smoke builds a real binary first —
-# exactly the deployment shape, not a `go run` temp artifact.
-shard-smoke:
-	rm -rf .shard-smoke
-	$(GO) build -o .shard-smoke/gpureach ./cmd/gpureach
-	./.shard-smoke/gpureach sweep -apps ATAX,GUPS -schemes ic+lds \
-		-scale 0.05 -workers 2 -out .shard-smoke/fleet -quiet -no-tables
-	./.shard-smoke/gpureach sweep -apps ATAX,GUPS -schemes ic+lds \
-		-scale 0.05 -procs 2 -out .shard-smoke/inproc -quiet -no-tables
-	cmp .shard-smoke/fleet/aggregate.json .shard-smoke/inproc/aggregate.json
-	cmp .shard-smoke/fleet/aggregate.csv .shard-smoke/inproc/aggregate.csv
-	@echo "shard-smoke: 2-worker subprocess fleet byte-identical to the in-process pool"
 
 coverage:
 	$(GO) test -coverprofile=.coverage.out ./internal/sample/ ./internal/stats/

@@ -13,11 +13,8 @@
 //
 //	gpureach sweep -schemes lds,ic+lds -scale 0.1 -procs 8 -out sweep-out
 //	gpureach sweep -resume -out sweep-out   # pick up a killed campaign
-//	gpureach sweep -scale 1.0 -workers 8    # shard runs across 8 worker processes
-//	gpureach worker -listen :9123           # contribute this machine to a fleet
 //
 //	gpureach serve -addr 127.0.0.1:8787     # campaign server (HTTP/JSON API)
-//	gpureach serve -executor shard -workers 8
 //	gpureach -list -json                    # machine-readable spec vocabulary
 //
 //	gpureach exp -list                      # paper tables/figures by ID
@@ -38,9 +35,6 @@ func main() {
 			return
 		case "serve":
 			runServe(os.Args[2:])
-			return
-		case "worker":
-			runWorker(os.Args[2:])
 			return
 		case "exp":
 			os.Exit(cli.RunExp(os.Args[2:], os.Stdout, os.Stderr))

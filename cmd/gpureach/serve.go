@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"gpureach/internal/serve"
-	"gpureach/internal/shard"
 )
 
 // runServe is the `gpureach serve` subcommand: the sweep engine as a
@@ -29,34 +28,11 @@ func runServe(args []string) {
 	procs := fs.Int("procs", 0, "shared worker pool size (default: GOMAXPROCS)")
 	queue := fs.Int("queue", 8, "max campaigns queued or running before submissions get 429 + Retry-After")
 	retries := fs.Int("retries", 3, "max attempts per run on simulation errors")
-	executor := fs.String("executor", "pool", "run executor: pool (in-process goroutines) or shard (gpureach worker subprocess fleet)")
-	workers := fs.Int("workers", 0, "shard executor: local worker subprocess count (default: GOMAXPROCS)")
-	remoteWorkers := fs.String("remote-workers", "", "shard executor: comma-separated TCP addresses of gpureach worker -listen processes, each one fleet slot")
 	fs.Parse(args)
 
 	cfg := serve.Config{
 		DataDir: *data, Procs: *procs,
 		MaxCampaigns: *queue, MaxAttempts: *retries,
-	}
-	switch *executor {
-	case "pool":
-		if *workers != 0 || *remoteWorkers != "" {
-			fatalf("serve: -workers/-remote-workers require -executor shard")
-		}
-	case "shard":
-		sup, err := shard.New(shard.Config{Workers: *workers, Remote: splitList(*remoteWorkers), Stderr: os.Stderr})
-		if err != nil {
-			fatalf("serve: %v", err)
-		}
-		defer sup.Close()
-		// One engine goroutine per fleet slot keeps every subprocess fed
-		// without oversubscribing the dispatch queue.
-		cfg.RunFn = sup.Run
-		cfg.Procs = sup.Slots()
-		cfg.ExtraMetrics = sup.PublishMetrics
-		fmt.Fprintf(os.Stderr, "serve: shard executor with %d worker slot(s)\n", sup.Slots())
-	default:
-		fatalf("serve: unknown -executor %q (want pool or shard)", *executor)
 	}
 
 	srv, err := serve.New(cfg)

@@ -9,7 +9,6 @@ import (
 
 	"gpureach/internal/cli"
 	"gpureach/internal/sample"
-	"gpureach/internal/shard"
 	"gpureach/internal/sweep"
 )
 
@@ -29,8 +28,6 @@ func runSweep(args []string) {
 	trials := fs.Int("trials", 0, "trials per non-zero chaos rate when -chaos-seeds is empty (default: 1)")
 	sampleSpec := fs.String("sample", "", "sampled execution for every run, e.g. windows=6,frac=0.25,seed=1 (empty: full detail; journals mean ± 95% CI)")
 	procs := fs.Int("procs", 0, "worker pool size (default: GOMAXPROCS)")
-	workers := fs.Int("workers", 0, "process-sharded execution: run simulations in N gpureach worker subprocesses (own heap/GC, GOMAXPROCS=1 each) instead of in-process goroutines")
-	remote := fs.String("remote", "", "comma-separated TCP addresses of gpureach worker -listen processes; each address adds one fleet slot (implies sharded execution)")
 	out := fs.String("out", "sweep-out", "campaign directory (cache/, journal.jsonl, aggregate.json/csv)")
 	resume := fs.Bool("resume", false, "resume a killed campaign from its journal")
 	retries := fs.Int("retries", 3, "max attempts per run on simulation errors")
@@ -89,21 +86,6 @@ func runSweep(args []string) {
 		OutDir:      *out,
 		Resume:      *resume,
 		MaxAttempts: *retries,
-	}
-	remotes := splitList(*remote)
-	if *workers > 0 || len(remotes) > 0 {
-		if *workers < 0 {
-			fatalf("bad -workers %d", *workers)
-		}
-		sup, err := shard.New(shard.Config{Workers: *workers, Remote: remotes})
-		if err != nil {
-			fatalf("%v", err)
-		}
-		defer sup.Close()
-		// One engine goroutine per fleet slot: the subprocesses are the
-		// parallelism, the in-process pool just keeps them all fed.
-		opts.RunFn = sup.Run
-		opts.Procs = sup.Slots()
 	}
 	if !*quiet {
 		opts.Progress = func(p sweep.Progress) {

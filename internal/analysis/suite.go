@@ -40,21 +40,19 @@ func simPackage(path string) bool {
 		return false
 	}
 	switch strings.SplitN(rest, "/", 2)[0] {
-	case "analysis", "cli", "serve", "shard", "sweep":
+	case "analysis", "cli", "serve", "sweep":
 		return false
 	}
 	return true
 }
 
-// simErrPackage extends the simerr scope to the sweep engine, the
-// campaign server and the shard supervisor: those layers must stay
-// panic-free too, they just may read the wall clock (timeouts, health
-// checks, bench trajectories).
+// simErrPackage extends the simerr scope to the sweep engine and the
+// campaign server: those layers must stay panic-free too, they just
+// may read the wall clock (Retry-After hints, bench trajectories).
 func simErrPackage(path string) bool {
 	return simPackage(path) ||
 		path == "gpureach/internal/sweep" ||
-		path == "gpureach/internal/serve" ||
-		path == "gpureach/internal/shard"
+		path == "gpureach/internal/serve"
 }
 
 // concurrentPackage scopes ctxguard to the concurrent substrate: the
@@ -64,7 +62,7 @@ func simErrPackage(path string) bool {
 func concurrentPackage(path string) bool {
 	switch path {
 	case "gpureach/internal/serve", "gpureach/internal/sweep",
-		"gpureach/internal/shard", "gpureach/internal/metrics":
+		"gpureach/internal/metrics":
 		return true
 	}
 	return false

@@ -37,6 +37,10 @@ func RunSingle(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "unexpected argument %q (subcommands: sweep, serve, exp)\n", fs.Arg(0))
+		return 2
+	}
 	if err := prof.Start(stderr); err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2

@@ -31,6 +31,7 @@ func TestRunSingleGolden(t *testing.T) {
 		{"sample-tenants", "-tenants MVT+SRAD -scale 0.05 -sample windows=6", "", "mutually exclusive"},
 		{"negative-scale", "-app ATAX -scale -1", "", "negative scale"},
 		{"l2tlb-geometry", "-app ATAX -scale 0.05 -l2tlb 24", "", "positive multiple of 16"},
+		{"stray-argument", "worker -listen :9123", "", `unexpected argument "worker"`},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -15,7 +15,7 @@ type State string
 const (
 	// StateQueued: admitted, runner not yet dispatching.
 	StateQueued State = "queued"
-	// StateRunning: runs are being sharded onto the worker pool.
+	// StateRunning: runs are being dispatched onto the worker pool.
 	StateRunning State = "running"
 	// StateDone: every run completed and the aggregate artifacts are
 	// written (individual run failures show in Counts.Failed — a

@@ -1,7 +1,7 @@
 // Package serve turns the sweep engine into a long-running campaign
 // service: an HTTP/JSON API that accepts matrix specs (the same
-// schema as sweep.Spec), shards their run descriptors onto one shared
-// bounded worker pool, streams per-run progress, and hands back the
+// schema as sweep.Spec), dispatches their run descriptors onto one
+// shared bounded worker pool, streams per-run progress, and hands back the
 // exact aggregate bytes the CLI sweep would have produced for the
 // same spec.
 //
@@ -49,14 +49,10 @@ type Config struct {
 	// RetryAfter is the hint returned with 429/503 responses
 	// (default 2s).
 	RetryAfter time.Duration
-	// Sleep and RunFn are test seams, forwarded to the engine.
+	// Sleep and RunFn are test seams, forwarded to the engine; every
+	// run otherwise executes in the engine's goroutine pool.
 	Sleep func(time.Duration)
 	RunFn func(sweep.Run) (sweep.RunResult, error)
-	// ExtraMetrics, when set, is invoked on every Metrics snapshot so
-	// the executor behind RunFn (e.g. a shard.Supervisor) can overlay
-	// its own gauges — per-worker utilization, dispatch queue depth,
-	// restart counts — on the same /metrics surface.
-	ExtraMetrics func(*metrics.Registry)
 }
 
 // Server is the campaign service: one shared sweep.Engine, a bounded
@@ -195,8 +191,8 @@ func (s *Server) stopping() bool {
 	}
 }
 
-// runCampaign is one campaign's runner goroutine: it shards the run
-// descriptors onto the shared engine one at a time (Submit blocks
+// runCampaign is one campaign's runner goroutine: it submits the run
+// descriptors to the shared engine one at a time (Submit blocks
 // while all workers are busy, so a drain request is observed between
 // runs), journals every completion, and finalizes the artifacts.
 func (s *Server) runCampaign(c *Campaign) {
@@ -271,9 +267,6 @@ func (s *Server) Metrics() *metrics.Registry {
 	s.metrics.Set("inflight_runs", float64(ctr.InFlight))
 	s.metrics.Set("engine_submitted", float64(ctr.Submitted))
 	s.metrics.Set("draining", boolGauge(draining))
-	if s.cfg.ExtraMetrics != nil {
-		s.cfg.ExtraMetrics(s.metrics)
-	}
 	return s.metrics
 }
 

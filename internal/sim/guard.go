@@ -20,13 +20,6 @@ const (
 	// ErrInvariant: a live internal/check probe found a violated
 	// invariant.
 	ErrInvariant ErrorKind = "invariant-violation"
-	// ErrWorkerLost: a process-sharded campaign's worker died (crash,
-	// kill -9, dropped connection, timeout) before returning the run's
-	// result. Raised supervisor-side by internal/shard with a zero
-	// queue snapshot — the simulation state died with the worker — and
-	// retryable like every other structured failure: the run simply
-	// re-executes on a fresh worker.
-	ErrWorkerLost ErrorKind = "worker-lost"
 )
 
 // QueueSnapshot captures the engine state at the moment of a failure so

@@ -341,7 +341,8 @@ func TestResumeSkipsCompletedRuns(t *testing.T) {
 // TestRetryOnSimError: structured simulation failures are retried with
 // bounded attempts; success on a later attempt yields a normal record
 // with the retry history, exhaustion yields a terminal failure that is
-// journaled but not cached.
+// journaled but not cached, and retried runs leave the aggregate
+// byte-identical to a campaign that never failed.
 func TestRetryOnSimError(t *testing.T) {
 	spec := Spec{Apps: []string{"ATAX"}, Scale: 0.05}
 	var calls atomic.Int64
@@ -395,6 +396,45 @@ func TestRetryOnSimError(t *testing.T) {
 	}
 	if c.Stats.Failed != 1 {
 		t.Fatalf("non-SimError did not fail the run")
+	}
+
+	// Retry transparency: failing every run's first attempt on a
+	// 2-worker pool costs exactly one retry per run, and the aggregate
+	// is byte-identical to a clean campaign's.
+	matrix := Spec{Apps: []string{"ATAX", "SRAD"}, Schemes: []string{"ic+lds"}, Scale: 0.05}
+	clean, err := Execute(matrix, Options{Procs: 2})
+	if err != nil {
+		t.Fatalf("clean campaign: %v", err)
+	}
+	var attempted sync.Map
+	failFirst := func(r Run) (RunResult, error) {
+		if _, again := attempted.LoadOrStore(r.Digest(), true); !again {
+			return RunResult{}, &sim.SimError{Kind: sim.ErrWatchdog, Msg: "first attempt"}
+		}
+		return ExecuteRun(r)
+	}
+	c, err = Execute(matrix, Options{Procs: 2, MaxAttempts: 3, Backoff: 1, RunFn: failFirst})
+	if err != nil {
+		t.Fatalf("retried campaign: %v", err)
+	}
+	if len(c.Records) != 4 {
+		t.Fatalf("got %d records, want 4", len(c.Records))
+	}
+	for _, rec := range c.Records {
+		if rec.Attempts != 2 {
+			t.Errorf("%s: attempts = %d, want 2", rec.Run, rec.Attempts)
+		}
+	}
+	want, err := clean.Aggregate().JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.Aggregate().JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("aggregate after retries differs from a clean campaign:\n got:\n%s\nwant:\n%s", got, want)
 	}
 }
 
