@@ -11,21 +11,6 @@ import (
 	"gpureach/internal/sweep"
 )
 
-// defaultCalibrationPairs is the stock cross-validation matrix: two
-// cells per translation scheme, spanning the regular (GUPS, PRK), the
-// graph-irregular (BFS, SSSP), and the compute-bound (NW) ends of the
-// workload set. The ATAX family is deliberately absent — those apps
-// retire too few wave instructions at calibration scales for interval
-// sampling to place distinct windows (see TestSampledMatchesFullDetail).
-var defaultCalibrationPairs = []sample.Pair{
-	{App: "GUPS", Scheme: "ic+lds"},
-	{App: "GUPS", Scheme: "lds"},
-	{App: "BFS", Scheme: "ic-aware"},
-	{App: "SSSP", Scheme: "ic+lds"},
-	{App: "PRK", Scheme: "lds"},
-	{App: "NW", Scheme: "ic-aware"},
-}
-
 // RunCalibrateSampling runs `gpureach exp calibrate-sampling`: the
 // statistical cross-validation harness for sampled execution. Every
 // cell of an app × scheme matrix is simulated both in full detail and
@@ -59,7 +44,7 @@ func RunCalibrateSampling(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	pairs := defaultCalibrationPairs
+	pairs := sample.CalibrationPairs
 	if *apps != "" || *schemes != "" {
 		if *apps == "" || *schemes == "" {
 			fmt.Fprintln(stderr, "-apps and -schemes must be given together (their cross product is the matrix)")
@@ -74,7 +59,7 @@ func RunCalibrateSampling(args []string, stdout, stderr io.Writer) int {
 	}
 
 	start := time.Now()
-	rep, err := sample.Validate(pairs, sweep.CalibrationRunner(*scale, sc))
+	rep, err := sweep.Calibrate(pairs, *scale, sc)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2

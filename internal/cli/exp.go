@@ -23,11 +23,13 @@ import (
 
 // RunExp runs the experiment subcommand (`gpureach exp ...`): it
 // regenerates the paper's tables and figures by artifact ID. The
-// selected experiments run concurrently on one sweep engine (GOMAXPROCS
-// workers); their tables print in selection order and are identical at
-// any worker count. It returns a process exit code: 0 on success, 1
-// when a simulation failed (stderr names the run), 2 on usage errors.
-// Tables go to stdout, diagnostics and timing to stderr.
+// selected experiments first declare their runs; the union, each
+// digest once, is submitted at once to one sweep engine (GOMAXPROCS
+// workers). Each experiment's tables print in selection order once its
+// runs are done, and are identical at any worker count. It returns a
+// process exit code: 0 on success, 1 when a simulation failed (stderr
+// names the run), 2 on usage errors. Tables go to stdout, diagnostics
+// and timing to stderr.
 //
 // Examples:
 //

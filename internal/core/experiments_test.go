@@ -207,34 +207,20 @@ func TestUnknownAppDoesNotPanic(t *testing.T) {
 	}
 }
 
-// validationPairs is the app × scheme matrix TestSampledMatchesFullDetail
-// checks. The apps span the paper's categories (GUPS thrash, graph
-// irregular, dense streaming); the very short ATAX-family kernels are
-// deliberately absent — at scale 0.05 they retire too few instructions
-// for interval sampling to be meaningful.
-var validationPairs = []sample.Pair{
-	{App: "GUPS", Scheme: "ic+lds"},
-	{App: "GUPS", Scheme: "lds"},
-	{App: "BFS", Scheme: "ic-aware"},
-	{App: "SSSP", Scheme: "ic+lds"},
-	{App: "PRK", Scheme: "lds"},
-	{App: "NW", Scheme: "ic-aware"},
-}
-
 // TestSampledMatchesFullDetail is the statistical cross-validation
-// gate: over the app × scheme matrix, the sampled speedup estimate
-// must land within 5% of the full-detail speedup and the sampled 95%
-// confidence interval must cover the full-detail truth. Six windows
-// with a quarter of each detailed keep windows long enough for the
-// short test-scale runs to reach steady state inside every window, and
-// make the warming run-in cover the whole inter-window gap (the skip
-// path has its own coverage in TestSampledSkipPathAccuracy).
+// gate: over the stock app × scheme matrix, the sampled speedup
+// estimate must land within 5% of the full-detail speedup and the
+// sampled 95% confidence interval must cover the full-detail truth.
+// Six windows with a quarter of each detailed keep windows long enough
+// for the short test-scale runs to reach steady state inside every
+// window, and make the warming run-in cover the whole inter-window gap
+// (the skip path has its own coverage in TestSampledSkipPathAccuracy).
 func TestSampledMatchesFullDetail(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cross-validation matrix runs full-detail references; skipped under -short")
 	}
 	sc := sample.Config{Windows: 6, DetailFrac: 0.25, Seed: 1}
-	rep, err := sample.Validate(validationPairs, sweep.CalibrationRunner(0.05, sc))
+	rep, err := sweep.Calibrate(sample.CalibrationPairs, 0.05, sc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,6 +14,22 @@ type Pair struct {
 	Scheme string `json:"scheme"`
 }
 
+// CalibrationPairs is the stock cross-validation matrix, used by
+// gpureach exp calibrate-sampling and TestSampledMatchesFullDetail: two
+// cells per translation scheme, spanning the regular (GUPS, PRK), the
+// graph-irregular (BFS, SSSP) and the compute-bound (NW) ends of the
+// workload set. The ATAX family is deliberately absent: at calibration
+// scales those apps retire too few wave instructions for interval
+// sampling to place distinct windows.
+var CalibrationPairs = []Pair{
+	{App: "GUPS", Scheme: "ic+lds"},
+	{App: "GUPS", Scheme: "lds"},
+	{App: "BFS", Scheme: "ic-aware"},
+	{App: "SSSP", Scheme: "ic+lds"},
+	{App: "PRK", Scheme: "lds"},
+	{App: "NW", Scheme: "ic-aware"},
+}
+
 // PairOutcome is the measured material for one cell, supplied by an
 // injected runner so this package stays free of the core dependency:
 // full-detail cycle counts and sampled estimates for both the baseline

@@ -3,7 +3,6 @@ package sweep
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"gpureach/internal/core"
 	"gpureach/internal/metrics"
@@ -71,14 +70,14 @@ func (r Run) withSampling(sc sample.Config) Run {
 	return r
 }
 
-// expRun is what an experiment body sees: the options, and run and
-// runAll, which ask the harness for simulations.
+// expRun is what an experiment body sees: the options, and run, which
+// asks the harness for one simulation. RunExperiments calls every body
+// twice. In the declare pass run notes each Run and returns a zero
+// Record, so a body must finish on zero Records; its tables are
+// discarded. In the reduce pass run returns the Run's finished Record.
 type expRun struct {
 	ExpOptions
-	// request submits one run to the harness without blocking and
-	// returns a function that waits for its Record.
-	request func(Run) func() Record
-	err     error
+	run func(Run) Record
 }
 
 // point is the Run of workload w under scheme s at the Table 1
@@ -88,47 +87,16 @@ func (o *expRun) point(s core.Scheme, w workloads.Workload) Run {
 	return defaultRun(w.Name, s.Name, o.scale()).withSampling(o.Sampling)
 }
 
-// run returns the finished Record of r. After the experiment's first
-// failed run it returns a zero Record without simulating anything:
-// the harness discards a failed experiment's tables, so its body only
-// has to finish, not to compute anything meaningful.
-func (o *expRun) run(r Run) Record {
-	return o.runAll([]Run{r})[0]
-}
-
-// runAll is run over runs, all submitted before the first is awaited
-// so they simulate in parallel. A failed run, and every run after it,
-// comes back as a zero Record.
-func (o *expRun) runAll(runs []Run) []Record {
-	recs := make([]Record, len(runs))
-	if o.err != nil {
-		return recs
-	}
-	waits := make([]func() Record, len(runs))
-	for i, r := range runs {
-		waits[i] = o.request(r)
-	}
-	for i, wait := range waits {
-		if rec := wait(); o.err == nil && rec.Failed() {
-			o.err = fmt.Errorf("run %s (digest %s) failed: %s", rec.Run, rec.Digest, rec.Err)
-		} else if o.err == nil {
-			recs[i] = rec
-		}
-	}
-	return recs
-}
-
 // schemePoint simulates every app of the options under the baseline
 // and schemes, each Run adjusted by adjust (nil: the Table 1
-// defaults), and reduces them to one Point. After a failed run the
-// Point holds zeros; the harness discards the experiment's tables.
+// defaults), and reduces them to one Point.
 func (o *expRun) schemePoint(schemes []core.Scheme, adjust func(*Run)) *Point {
 	pt := &Point{Schemes: []string{core.Baseline().Name}}
 	for _, s := range schemes {
 		pt.Schemes = append(pt.Schemes, s.Name)
 	}
 	var units []unit
-	var runs []Run
+	byCell := map[[2]string]Record{} // app, scheme
 	for _, w := range o.workloads() {
 		units = append(units, unit{app: w.Name})
 		for _, s := range pt.Schemes {
@@ -136,12 +104,8 @@ func (o *expRun) schemePoint(schemes []core.Scheme, adjust func(*Run)) *Point {
 			if adjust != nil {
 				adjust(&r)
 			}
-			runs = append(runs, r)
+			byCell[[2]string{r.App, r.Scheme}] = o.run(r)
 		}
-	}
-	byCell := map[[2]string]Record{} // app, scheme
-	for i, rec := range o.runAll(runs) {
-		byCell[[2]string{runs[i].App, runs[i].Scheme}] = rec
 	}
 	pt.reduce(units, func(u unit, scheme string) (Record, bool) {
 		return byCell[[2]string{u.app, scheme}], true
@@ -150,80 +114,121 @@ func (o *expRun) schemePoint(schemes []core.Scheme, adjust func(*Run)) *Point {
 }
 
 // Experiment is one reproducible paper artifact. Its body runs only
-// through RunExperiments.
+// through RunExperiments, which calls it once to declare its runs and
+// once to reduce their records; both calls must request the same runs.
 type Experiment struct {
 	ID    string
 	Title string
 	body  func(o *expRun) []*metrics.Table
 }
 
-// RunExperiments runs exps concurrently on one Engine configured by
-// eng, and hands each experiment's tables to emit in exps order.
+// RunExperiments runs exps on one Engine configured by eng, and hands
+// each experiment's tables to emit in exps order. Declare: every body
+// runs once on zero Records, listing its runs. Execute: the union of
+// those runs, deduped by digest, is submitted at once, so a run shared
+// between experiments is simulated once and the pool never waits on a
+// body. Reduce: in exps order, once an experiment's runs are done, its
+// body runs again on the finished Records and emit gets its tables.
 // Simulations are bit-deterministic, so the tables do not depend on
-// eng.Procs or on completion order. A run shared between experiments
-// (every experiment needs the per-app baselines) is simulated once: a
-// memo keyed by run digest, private to this call, serves repeats, and
-// concurrent requests wait on the first. An experiment with a failed
-// run is not emitted; the others still are, and the returned error
-// names every failed run.
+// eng.Procs or on completion order. An experiment with a failed run,
+// or whose reduce pass requests a run its declare pass did not, is not
+// emitted; the others still are, and the returned error names each
+// such run.
 func RunExperiments(exps []Experiment, opts ExpOptions, eng EngineOptions, emit func(Experiment, []*metrics.Table)) error {
 	if err := opts.Validate(); err != nil {
 		return err
 	}
-	engine := NewEngine(eng)
-	defer engine.Close()
+	declared := make([][]Run, len(exps))
+	var all []Run
+	for i, e := range exps {
+		e.body(&expRun{ExpOptions: opts, run: func(r Run) Record {
+			declared[i] = append(declared[i], r)
+			return Record{}
+		}})
+		all = append(all, declared[i]...)
+	}
+	await, join := submitAll(all, eng)
+	defer join()
 
-	type entry struct {
+	var errs []error
+	for i, e := range exps {
+		tables, err := reduceExperiment(e, opts, declared[i], await)
+		if err != nil {
+			errs = append(errs, fmt.Errorf("experiment %s: %w", e.ID, err))
+			continue
+		}
+		emit(e, tables)
+	}
+	return errors.Join(errs...)
+}
+
+// reduceExperiment runs e's body on the Records of its declared runs.
+// The first failed run in declaration order, or the first run the body
+// requests without having declared it, is the error instead.
+func reduceExperiment(e Experiment, opts ExpOptions, declared []Run, await func(Run) (Record, error)) ([]*metrics.Table, error) {
+	done := make(map[string]Record, len(declared))
+	for _, r := range declared {
+		rec, err := await(r)
+		if err != nil {
+			return nil, err
+		}
+		done[r.DigestHex()] = rec
+	}
+	var undeclared error
+	tables := e.body(&expRun{ExpOptions: opts, run: func(r Run) Record {
+		rec, ok := done[r.DigestHex()]
+		if !ok && undeclared == nil {
+			undeclared = fmt.Errorf("run %s (digest %s) was requested but not declared", r, r.DigestHex())
+		}
+		return rec
+	}})
+	return tables, undeclared
+}
+
+// submitAll executes runs, deduped by digest in declaration order, on
+// one Engine configured by eng, submitting all of them from one
+// goroutine that awaits none of them. await(r), for r one of runs, blocks
+// until r is done and returns its Record, or an error naming r if it
+// failed. join waits for every run and the engine's shutdown.
+func submitAll(runs []Run, eng EngineOptions) (await func(Run) (Record, error), join func()) {
+	type pending struct {
+		run  Run
 		done chan struct{}
 		rec  Record
 	}
-	var mu sync.Mutex
-	memo := map[string]*entry{}
-	request := func(r Run) func() Record {
-		digest := r.DigestHex()
-		mu.Lock()
-		e, seen := memo[digest]
-		if !seen {
-			e = &entry{done: make(chan struct{})}
-			memo[digest] = e
+	byDigest := map[string]*pending{}
+	var order []*pending
+	for _, r := range runs {
+		d := r.DigestHex()
+		if _, ok := byDigest[d]; !ok {
+			p := &pending{run: r, done: make(chan struct{})}
+			byDigest[d] = p
+			order = append(order, p)
 		}
-		mu.Unlock()
-		if !seen {
-			engine.Submit(r, func(out Outcome) {
-				e.rec = out.Record
-				close(e.done)
+	}
+	// Submit blocks until a worker takes the run, so the runs go in
+	// from a goroutine of their own: the caller meanwhile reduces what
+	// has finished.
+	engine := NewEngine(eng)
+	closed := make(chan struct{})
+	go func() {
+		for _, p := range order {
+			engine.Submit(p.run, func(out Outcome) {
+				p.rec = out.Record
+				close(p.done)
 			})
 		}
-		return func() Record {
-			<-e.done
-			return e.rec
+		engine.Close()
+		close(closed)
+	}()
+	return func(r Run) (Record, error) {
+		p := byDigest[r.DigestHex()]
+		<-p.done
+		if p.rec.Failed() {
+			return p.rec, fmt.Errorf("run %s (digest %s) failed: %s", p.rec.Run, p.rec.Digest, p.rec.Err)
 		}
-	}
-
-	type result struct {
-		tables []*metrics.Table
-		err    error
-	}
-	results := make([]chan result, len(exps))
-	for i, e := range exps {
-		done := make(chan result, 1)
-		results[i] = done
-		go func(e Experiment) {
-			x := &expRun{ExpOptions: opts, request: request}
-			tables := e.body(x)
-			done <- result{tables, x.err}
-		}(e)
-	}
-	var errs []error
-	for i, e := range exps {
-		res := <-results[i]
-		if res.err != nil {
-			errs = append(errs, fmt.Errorf("experiment %s: %w", e.ID, res.err))
-			continue
-		}
-		emit(e, res.tables)
-	}
-	return errors.Join(errs...)
+		return p.rec, nil
+	}, func() { <-closed }
 }
 
 // Experiments returns every experiment, keyed as in DESIGN.md's
@@ -692,7 +697,7 @@ func expMultiApp(o *expRun) []*metrics.Table {
 		}
 		basePer, combPer := coRun(core.Baseline()), coRun(core.Combined())
 		if len(basePer) != 2 || len(combPer) != 2 {
-			continue // a failed co-run; the harness reports it
+			continue // the declare pass: no co-run has finished yet
 		}
 		sa := float64(basePer[0].FinishedAt) / float64(combPer[0].FinishedAt)
 		sb := float64(basePer[1].FinishedAt) / float64(combPer[1].FinishedAt)
@@ -702,49 +707,36 @@ func expMultiApp(o *expRun) []*metrics.Table {
 	return []*metrics.Table{t}
 }
 
-// CalibrationRunner returns a sample.Validate runner: each pair is
-// measured four ways (full-detail and sampled, baseline and scheme) at
-// the given scale and sampling config, each through ExecuteRun. Per-app
-// baseline runs are reused across cells, so an N-cell matrix over K
-// apps costs K baseline pairs plus N scheme pairs. The
-// cross-validation harness (gpureach exp calibrate-sampling,
-// TestSampledMatchesFullDetail) builds its error table on top of this.
-func CalibrationRunner(scale float64, sc sample.Config) func(sample.Pair) (sample.PairOutcome, error) {
-	type measured struct {
-		full uint64
-		samp *sample.Estimate
+// Calibrate scores sampled against full-detail execution over pairs
+// with sample.Validate: each pair is measured full-detail and sampled,
+// baseline and scheme, at the given scale and sampling config. All
+// runs are declared first and executed together, as RunExperiments
+// does, so the per-app baselines dedup by digest: N cells over K apps
+// cost K baseline pairs plus N scheme pairs.
+func Calibrate(pairs []sample.Pair, scale float64, sc sample.Config) (*sample.Report, error) {
+	cell := func(p sample.Pair) []Run {
+		base, scheme := defaultRun(p.App, core.Baseline().Name, scale), defaultRun(p.App, p.Scheme, scale)
+		return []Run{base, base.withSampling(sc), scheme, scheme.withSampling(sc)}
 	}
-	measure := func(app, scheme string) (measured, error) {
-		full := defaultRun(app, scheme, scale)
-		fr, err := ExecuteRun(full)
-		if err != nil {
-			return measured{}, err
-		}
-		sr, err := ExecuteRun(full.withSampling(sc))
-		if err != nil {
-			return measured{}, err
-		}
-		return measured{full: uint64(fr.Results.Cycles), samp: sr.Sampled}, nil
+	var runs []Run
+	for _, p := range pairs {
+		runs = append(runs, cell(p)...)
 	}
-	base := map[string]measured{}
-	return func(p sample.Pair) (sample.PairOutcome, error) {
-		b, ok := base[p.App]
-		if !ok {
+	await, join := submitAll(runs, EngineOptions{})
+	defer join()
+	return sample.Validate(pairs, func(p sample.Pair) (sample.PairOutcome, error) {
+		var recs [4]Record
+		for i, r := range cell(p) {
 			var err error
-			if b, err = measure(p.App, core.Baseline().Name); err != nil {
+			if recs[i], err = await(r); err != nil {
 				return sample.PairOutcome{}, err
 			}
-			base[p.App] = b
-		}
-		s, err := measure(p.App, p.Scheme)
-		if err != nil {
-			return sample.PairOutcome{}, err
 		}
 		return sample.PairOutcome{
-			FullBaseCycles:   b.full,
-			FullSchemeCycles: s.full,
-			SampledBase:      b.samp,
-			SampledScheme:    s.samp,
+			FullBaseCycles:   uint64(recs[0].Results.Cycles),
+			SampledBase:      recs[1].Sampled,
+			FullSchemeCycles: uint64(recs[2].Results.Cycles),
+			SampledScheme:    recs[3].Sampled,
 		}, nil
-	}
+	})
 }
