@@ -4,9 +4,10 @@
 #   make tier2        tier1 plus static analysis and a race-detector sweep
 #   make lint         go vet + gofmt + the repo's own analyzers (cmd/gpureachvet,
 #                     with -stale-allows so waivers that suppress nothing fail too)
-#   make bench        microbenchmarks: the internal/sim event engine and
-#                     waiter table, internal/tlb Insert and internal/cache
-#                     AccessEvent (repeated-trial perf measurements with
+#   make bench        microbenchmarks: the internal/sim event engine, guarded
+#                     loop and waiter table, internal/tlb Insert,
+#                     internal/cache AccessEvent and the internal/gpu lane
+#                     coalescer (repeated-trial perf measurements with
 #                     host fingerprints: bash perfbench/run.sh)
 #   make bench-smoke  one-iteration pass over every benchmark (CI keeps them
 #                     compiling and running; no stable numbers expected)
@@ -56,10 +57,10 @@ lint:
 	$(GO) run ./cmd/gpureachvet -stale-allows ./...
 
 bench:
-	$(GO) test -bench=. -benchmem -run NONE ./internal/sim/ ./internal/tlb/ ./internal/cache/
+	$(GO) test -bench=. -benchmem -run NONE ./internal/sim/ ./internal/tlb/ ./internal/cache/ ./internal/gpu/
 
 bench-smoke:
-	$(GO) test -bench=. -benchtime 1x -benchmem -run NONE ./internal/sim/ ./internal/tlb/ ./internal/cache/
+	$(GO) test -bench=. -benchtime 1x -benchmem -run NONE ./internal/sim/ ./internal/tlb/ ./internal/cache/ ./internal/gpu/
 
 allocs:
 	$(GO) test -count=1 -v -run 'TestFullDetailRunAllocBudget|TestNewSystemByteBudget' ./internal/core/

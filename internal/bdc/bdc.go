@@ -72,9 +72,10 @@ func (g *Group) StorageBits() uint {
 	return uint(g.baseBits) + uint(g.slots)*uint(g.deltaBits)
 }
 
-// fits reports whether v can be represented against base: the high bits
-// beyond baseBits must be zero (base is a truncated-width field) and the
-// difference must fit in a signed deltaBits integer.
+// fits reports whether v can be represented against base: whether the
+// difference fits in a signed deltaBits integer. It checks no width of
+// v itself; callers store tags already masked to the structure's tag
+// field, and only a new base is held to baseBits (baseRepresentable).
 func (g *Group) fits(base, v uint64) bool {
 	d := int64(v) - int64(base)
 	limit := int64(1) << (g.deltaBits - 1)

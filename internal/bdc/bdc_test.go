@@ -58,6 +58,32 @@ func TestDeltaOverflowRejected(t *testing.T) {
 	if !g.Add(2, 40000-32768) {
 		t.Error("max negative delta rejected")
 	}
+
+	// One past each end of a signed k-bit field, for the LDS's 16-bit
+	// and the I-cache's 8-bit deltas: +2^(k-1) and -2^(k-1)-1 must be
+	// rejected, and the extremes just inside accepted.
+	for _, geo := range []struct {
+		name                   string
+		slots, baseBits, delta uint
+	}{{"LDS", 3, 16, 16}, {"I-cache", 8, 32, 8}} {
+		const base = 1 << 12
+		limit := uint64(1) << (geo.delta - 1)
+		g := NewGroup(int(geo.slots), geo.baseBits, geo.delta)
+		if !g.Add(0, base) {
+			t.Fatalf("%s: first add failed", geo.name)
+		}
+		for _, v := range []uint64{base + limit, base - limit - 1} {
+			if g.Add(1, v) {
+				t.Errorf("%s: delta %d accepted into a %d-bit field", geo.name, int64(v)-base, geo.delta)
+			}
+		}
+		if g.Rejected() != 2 {
+			t.Errorf("%s: Rejected = %d, want 2", geo.name, g.Rejected())
+		}
+		if !g.Add(1, base+limit-1) || !g.Add(2, base-limit) {
+			t.Errorf("%s: extreme in-range deltas %d and -%d rejected", geo.name, limit-1, limit)
+		}
+	}
 }
 
 func TestBaseWidthEnforced(t *testing.T) {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"gpureach/internal/cache"
 	"gpureach/internal/check"
@@ -53,9 +52,8 @@ type System struct {
 	PeakTxResident int
 	LDSUtilBytes   int
 
-	// Reused buffers for the sharing sample: one CU's distinct keys,
-	// and the concatenation of every CU's distinct keys.
-	cuKeys, allKeys []tlb.Key
+	// share counts the sharing sample, reused across kernel boundaries.
+	share shareTable
 }
 
 // NewSystem builds the machine described by cfg.
@@ -157,38 +155,7 @@ func (s *System) sample(nextKernel string) {
 		s.ICUtilSamples = append(s.ICUtilSamples, ic.KernelBoundary(nextKernel))
 	}
 
-	// Cross-CU sharing over the per-CU structures (L1 TLB + LDS): a
-	// key is shared when more than one CU holds it. Each CU contributes
-	// its distinct keys once, so after sorting the concatenation a run
-	// of equal keys has one element per holding CU.
-	all := s.allKeys[:0]
-	for i := range s.CUs {
-		cu := s.cuKeys[:0]
-		collect := func(e tlb.Entry) { cu = append(cu, e.Key()) }
-		s.Xlats[i].L1().ForEach(collect)
-		if s.Cfg.Scheme.UseLDS {
-			s.LDSs[i].ForEachTx(collect)
-		}
-		slices.Sort(cu)
-		cu = slices.Compact(cu)
-		all = append(all, cu...)
-		s.cuKeys = cu
-	}
-	slices.Sort(all)
-	distinct, shared := 0, 0
-	for i := 0; i < len(all); {
-		j := i + 1
-		for j < len(all) && all[j] == all[i] {
-			j++
-		}
-		distinct++
-		if j-i > 1 {
-			shared++
-		}
-		i = j
-	}
-	s.allKeys = all
-	if distinct > 0 {
+	if distinct, shared := s.sharing(); distinct > 0 {
 		s.SharedSamples = append(s.SharedSamples, float64(shared)/float64(distinct))
 	}
 
@@ -204,6 +171,32 @@ func (s *System) sample(nextKernel string) {
 	}
 
 	s.Check(check.KernelBoundary, "kernel-boundary")
+}
+
+// sharing counts the distinct translation keys held across the per-CU
+// structures (L1 TLB + LDS) and how many of them more than one CU
+// holds (Fig 14a).
+func (s *System) sharing() (distinct, shared int) {
+	// Size the table for every key up front, so a first sample of
+	// thousands of keys does not grow it through every smaller size.
+	n := 0
+	for i := range s.CUs {
+		n += s.Xlats[i].L1().Occupied()
+		if s.Cfg.Scheme.UseLDS {
+			n += s.LDSs[i].TxResident()
+		}
+	}
+	t := &s.share
+	t.reset(n)
+	add := func(e tlb.Entry) { t.add(e.Key()) }
+	for i := range s.CUs {
+		s.Xlats[i].L1().ForEach(add)
+		if s.Cfg.Scheme.UseLDS {
+			s.LDSs[i].ForEachTx(add)
+		}
+		t.endCU()
+	}
+	return t.distinct, t.shared
 }
 
 // checkTarget assembles the invariant probes' view of this system.

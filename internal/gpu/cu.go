@@ -98,13 +98,13 @@ type CU struct {
 	fetchPool sim.Pool[fetchReq]
 	memPool   sim.Pool[memReq]
 	groupPool sim.Pool[pageGroup]
-	// gscratch is the per-CU page-grouping scratch reused by every
-	// memAccess call. Safe because grouping is confined to one
-	// synchronous memAccessEvent invocation: translations never
-	// complete before the issuing loop returns.
+	// gscratch lists the page groups of the instruction being
+	// coalesced and pages indexes them by VPN; both are reused by every
+	// memory instruction. Safe because grouping is confined to one
+	// synchronous memAccessEvent (or warmMemAccess) invocation:
+	// translations never complete before the issuing loop returns.
 	gscratch []*pageGroup
-	// warmVPNs is the fast-forward page-dedup scratch (warmMemAccess).
-	warmVPNs []vm.VPN
+	pages    pageIndex
 
 	stats CUStats
 }
@@ -151,6 +151,7 @@ func NewCU(eng *sim.Engine, id int, cfg Config, ldsUnit *lds.LDS, ic *icache.ICa
 		ICBack: icBack,
 		L1D:    l1d,
 		Xlat:   xlat,
+		pages:  newPageIndex(cfg.Lanes),
 	}
 	for i := 0; i < cfg.SIMDsPerCU; i++ {
 		cu.simds = append(cu.simds, &simdUnit{issue: sim.NewPort(eng, 1)})
@@ -301,37 +302,7 @@ func (cu *CU) memAccessEvent(space *vm.AddrSpace, addrs []vm.VA, write bool, h s
 		return
 	}
 	pageBits := space.PageSize().Bits()
-	lineMask := ^(uint64(cu.cfg.LineBytes) - 1)
-
-	// Group unique lines under unique pages, reusing the CU's scratch
-	// group list and each group's retained line capacity.
-	groups := cu.gscratch[:0]
-	for _, va := range addrs {
-		vpn := vm.VPN(uint64(va) >> pageBits)
-		off := uint64(va) & ((1 << pageBits) - 1) & lineMask
-		var g *pageGroup
-		for _, cand := range groups {
-			if cand.vpn == vpn {
-				g = cand
-				break
-			}
-		}
-		if g == nil {
-			g = cu.groupPool.Get()
-			g.vpn = vpn
-			groups = append(groups, g)
-		}
-		dup := false
-		for _, l := range g.lines {
-			if l == off {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			g.lines = append(g.lines, off)
-		}
-	}
+	groups := cu.groupLanes(addrs, pageBits, true)
 
 	r := cu.memPool.Get()
 	r.cu = cu
@@ -361,24 +332,12 @@ func (cu *CU) warmMemAccess(space *vm.AddrSpace, addrs []vm.VA) {
 	if len(addrs) == 0 {
 		return
 	}
-	pageBits := space.PageSize().Bits()
-	seen := cu.warmVPNs[:0]
-	for _, va := range addrs {
-		vpn := vm.VPN(uint64(va) >> pageBits)
-		dup := false
-		for _, v := range seen {
-			if v == vpn {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			continue
-		}
-		seen = append(seen, vpn)
-		cu.Xlat.WarmTranslate(space, vpn)
+	groups := cu.groupLanes(addrs, space.PageSize().Bits(), false)
+	for _, g := range groups {
+		cu.Xlat.WarmTranslate(space, g.vpn)
+		cu.groupPool.Put(g)
 	}
-	cu.warmVPNs = seen[:0]
+	cu.gscratch = groups[:0]
 }
 
 // memTranslated fans one page's coalesced lines into the L1 data cache

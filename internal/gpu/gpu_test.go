@@ -35,7 +35,7 @@ func (m *stubMem) AccessEvent(addr vm.PA, write bool, h sim.Handler, ctx any) {
 	m.eng.AfterEvent(m.latency, h, ctx)
 }
 
-func newRig(t *testing.T, cfg Config, useLDS, useIC bool) *testRig {
+func newRig(t testing.TB, cfg Config, useLDS, useIC bool) *testRig {
 	t.Helper()
 	eng := sim.NewEngine()
 	frames := vm.NewFrameAllocator(8 << 30)

@@ -130,3 +130,27 @@ func BenchmarkEngineFarFuture(b *testing.B) {
 		e.Run()
 	}
 }
+
+// BenchmarkRunGuardedSparse: four self-rearming event chains spaced
+// hundreds of cycles apart, run under the default watchdog as every
+// simulation is. Nearly every event starts a drained cycle, so the
+// cost per event is the guarded loop's calendar scan to the next one.
+func BenchmarkRunGuardedSparse(b *testing.B) {
+	e := NewEngine()
+	left := b.N
+	var h Handler
+	h = func(any) {
+		if left > 0 {
+			left--
+			e.AfterEvent(Time(300+left*7919%700), h, nil)
+		}
+	}
+	for c := 0; c < 4; c++ {
+		e.AtEvent(Time(c*37), h, nil)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := e.RunGuarded(GuardConfig{NoProgressEvents: 5_000_000}); err != nil {
+		b.Fatal(err)
+	}
+}

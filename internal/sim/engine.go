@@ -264,7 +264,9 @@ func (e *Engine) nextCalTime() (Time, bool) {
 }
 
 // peekTime returns the time of the next pending event without running
-// it.
+// it. A caller that goes on to run that event sets now to the returned
+// time before calling Step, so each clock advance costs one bitmap scan
+// (this one) rather than two.
 func (e *Engine) peekTime() (Time, bool) {
 	if e.buckets[e.now%calWindow].head != 0 {
 		return e.now, true
@@ -296,6 +298,7 @@ func (e *Engine) RunUntil(limit Time) {
 		if t > limit {
 			return
 		}
+		e.now = t
 		e.Step()
 	}
 }

@@ -151,6 +151,9 @@ func (e *Engine) RunGuarded(g GuardConfig) error {
 		if g.MaxCycles > 0 && next > g.MaxCycles {
 			return e.watchdogErr("cycle horizon %d exceeded (next event at %d)", g.MaxCycles, next)
 		}
+		// Move the clock to the event peekTime found, so Step dispatches
+		// it at once instead of scanning the calendar a second time.
+		e.now = next
 		e.Step()
 		if e.now != lastNow {
 			lastNow = e.now

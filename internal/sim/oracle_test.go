@@ -3,6 +3,7 @@ package sim
 import (
 	"container/heap"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -297,4 +298,102 @@ func TestAtEventMatchesOracle(t *testing.T) {
 	ora.Run()
 
 	compareLogs(t, seed, got, want)
+}
+
+// refRunGuarded is RunGuarded as it was before the guarded loop moved
+// the clock itself: peekTime finds the next event and then Step, on a
+// drained cycle, scans the calendar for it a second time. It is the
+// reference TestRunGuardedMatchesReference holds the one-scan loop to.
+func refRunGuarded(e *Engine, g GuardConfig) error {
+	if g == (GuardConfig{}) {
+		e.Run()
+		return nil
+	}
+	start := e.events
+	lastNow := e.now
+	var sameCycle uint64
+	for {
+		next, ok := e.peekTime()
+		if !ok {
+			return nil
+		}
+		if g.MaxEvents > 0 && e.events-start >= g.MaxEvents {
+			return e.watchdogErr("event budget of %d exhausted", g.MaxEvents)
+		}
+		if g.MaxCycles > 0 && next > g.MaxCycles {
+			return e.watchdogErr("cycle horizon %d exceeded (next event at %d)", g.MaxCycles, next)
+		}
+		e.Step()
+		if e.now != lastNow {
+			lastNow = e.now
+			sameCycle = 0
+			continue
+		}
+		sameCycle++
+		if g.NoProgressEvents > 0 && sameCycle >= g.NoProgressEvents {
+			return e.watchdogErr("no forward progress: %d consecutive events at cycle %d", sameCycle, e.now)
+		}
+	}
+}
+
+// TestRunGuardedMatchesReference runs randomized near, far and
+// same-cycle programs under every combination of guard settings (each
+// limit off, tripping mid-run, or never reached) and requires the
+// guarded loop to dispatch in the reference loop's order and to end in
+// the same state: clock, events run, events pending, and a tripped
+// watchdog's error text, queue snapshot included. Runs no guard stops
+// must also match the heap oracle's order and final clock.
+func TestRunGuardedMatchesReference(t *testing.T) {
+	const never = 1 << 40
+	var guards []GuardConfig
+	for _, maxEvents := range []uint64{0, 1500, never} {
+		for _, maxCycles := range []Time{0, 20_000, never} {
+			for _, noProgress := range []uint64{0, 8, never} {
+				guards = append(guards, GuardConfig{
+					MaxEvents: maxEvents, MaxCycles: maxCycles, NoProgressEvents: noProgress,
+				})
+			}
+		}
+	}
+	errText := func(err error) string {
+		if err == nil {
+			return ""
+		}
+		return err.Error()
+	}
+	trips := map[string]int{}
+	for seed := int64(21); seed <= 23; seed++ {
+		roots := makeRoots(rand.New(rand.NewSource(seed)))
+		ora := &oracleEngine{}
+		want := runProgram(ora, roots, seed, 2000, ora.Run)
+		for _, g := range guards {
+			eng, ref := NewEngine(), NewEngine()
+			var err, refErr error
+			got := runProgram(eng, roots, seed, 2000, func() { err = eng.RunGuarded(g) })
+			refLog := runProgram(ref, roots, seed, 2000, func() { refErr = refRunGuarded(ref, g) })
+			compareLogs(t, seed, got, refLog)
+			if errText(err) != errText(refErr) {
+				t.Fatalf("seed %d, %+v: error %q, reference %q", seed, g, errText(err), errText(refErr))
+			}
+			if eng.Now() != ref.Now() || eng.EventsRun() != ref.EventsRun() || eng.Pending() != ref.Pending() {
+				t.Fatalf("seed %d, %+v: ended at cycle %d with %d run, %d pending; reference cycle %d, %d run, %d pending",
+					seed, g, eng.Now(), eng.EventsRun(), eng.Pending(), ref.Now(), ref.EventsRun(), ref.Pending())
+			}
+			if err != nil {
+				for _, limit := range []string{"event budget", "cycle horizon", "no forward progress"} {
+					if strings.Contains(err.Error(), limit) {
+						trips[limit]++
+					}
+				}
+				continue
+			}
+			compareLogs(t, seed, got, want)
+			if eng.Now() != ora.Now() {
+				t.Fatalf("seed %d, %+v: final clock %d, oracle %d", seed, g, eng.Now(), ora.Now())
+			}
+		}
+	}
+	if len(trips) != 3 {
+		t.Fatalf("watchdog trips by limit %v: every limit must trip in some combination", trips)
+	}
 }
